@@ -320,7 +320,7 @@ void DurabilityBench(BenchJson* json) {
 
   sql::Session s;
   // No auto-checkpoint: the log must hold all K statements below.
-  s.mutable_durability_options().auto_checkpoint_records = 0;
+  s.mutable_options().durability.auto_checkpoint_records = 0;
   MAYBMS_CHECK(s.Execute("CREATE TABLE t (x INT, w DOUBLE)").ok());
   auto saved = s.Execute("SAVE DATABASE '" + db_path + "'");
   MAYBMS_CHECK(saved.ok()) << saved.status().ToString();

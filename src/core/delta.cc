@@ -63,6 +63,16 @@ DeltaBatch& DeltaBatch::Enforce(Constraint constraint) {
   return *this;
 }
 
+DeltaBatch& DeltaBatch::CreateRelation(std::string relation, Schema schema) {
+  ops_.push_back(CreateOp{std::move(relation), std::move(schema)});
+  return *this;
+}
+
+DeltaBatch& DeltaBatch::DropRelation(std::string relation) {
+  ops_.push_back(DropOp{std::move(relation)});
+  return *this;
+}
+
 // --- serialization ----------------------------------------------------------
 
 namespace {
@@ -76,7 +86,13 @@ enum class OpTag : uint8_t {
   kSetCell = 4,
   kRepair = 5,
   kEnforce = 6,
+  kCreate = 7,
+  kDrop = 8,
 };
+
+// Domain predicates deeper than this are refused by Serialize, so the
+// recursive decoder's stack use stays bounded on any payload.
+constexpr int kMaxExprDepth = 512;
 
 enum class ValueTag : uint8_t {
   kNull = 0,
@@ -189,18 +205,122 @@ Result<CellSpec> ReadCellSpec(SnapshotCursor* cur) {
   return CellSpec::OrSet(std::move(alts));
 }
 
-Status PutConstraint(std::string* out, const Constraint& c) {
-  if (c.kind() == ConstraintKind::kDomain) {
-    // Domain predicates are expression trees; the SQL layer logs the
-    // statement text for those instead of a binary delta record.
-    return Status::InvalidArgument(
-        "domain constraints are not serializable in a delta");
+// Expression trees (domain predicates): the kind byte, the node's own
+// fields, then its children in order — the kind fixes how many.
+Status PutExpr(std::string* out, const Expr& e, int depth) {
+  if (depth > kMaxExprDepth) {
+    return Status::InvalidArgument(StrFormat(
+        "domain predicate nests deeper than %d levels", kMaxExprDepth));
   }
+  PutPod(out, static_cast<uint8_t>(e.kind()));
+  switch (e.kind()) {
+    case ExprKind::kConst:
+      PutValue(out, e.const_value());
+      break;
+    case ExprKind::kColumn:
+      PutLenString(out, e.column_name());
+      PutPod(out, static_cast<uint8_t>(e.is_bound() ? 1 : 0));
+      PutPod(out, static_cast<uint64_t>(e.column_index()));
+      break;
+    case ExprKind::kCompare:
+      PutPod(out, static_cast<uint8_t>(e.compare_op()));
+      break;
+    case ExprKind::kArith:
+      PutPod(out, static_cast<uint8_t>(e.arith_op()));
+      break;
+    case ExprKind::kIsNull:
+      PutPod(out, static_cast<uint8_t>(e.is_null_negated() ? 1 : 0));
+      break;
+    case ExprKind::kIn:
+      PutPod(out, static_cast<uint32_t>(e.in_set().size()));
+      for (const Value& v : e.in_set()) PutValue(out, v);
+      break;
+    case ExprKind::kAnd:
+    case ExprKind::kOr:
+    case ExprKind::kNot:
+      break;
+  }
+  for (const ExprPtr& child : e.children()) {
+    MAYBMS_RETURN_IF_ERROR(PutExpr(out, *child, depth + 1));
+  }
+  return Status::OK();
+}
+
+Result<ExprPtr> ReadExpr(SnapshotCursor* cur, int depth) {
+  if (depth > kMaxExprDepth) {
+    return Status::ParseError("delta expression nested too deeply");
+  }
+  auto child = [&] { return ReadExpr(cur, depth + 1); };
+  MAYBMS_ASSIGN_OR_RETURN(uint8_t kind, cur->Read<uint8_t>());
+  switch (static_cast<ExprKind>(kind)) {
+    case ExprKind::kConst: {
+      MAYBMS_ASSIGN_OR_RETURN(Value v, ReadValue(cur));
+      return Expr::Const(std::move(v));
+    }
+    case ExprKind::kColumn: {
+      MAYBMS_ASSIGN_OR_RETURN(std::string name, cur->ReadLenString());
+      MAYBMS_ASSIGN_OR_RETURN(uint8_t bound, cur->Read<uint8_t>());
+      MAYBMS_ASSIGN_OR_RETURN(uint64_t idx, cur->Read<uint64_t>());
+      if (bound == 0) return Expr::Column(std::move(name));
+      return Expr::ColumnIdx(static_cast<size_t>(idx), std::move(name));
+    }
+    case ExprKind::kCompare: {
+      MAYBMS_ASSIGN_OR_RETURN(uint8_t op, cur->Read<uint8_t>());
+      if (op > static_cast<uint8_t>(CompareOp::kGe)) break;
+      MAYBMS_ASSIGN_OR_RETURN(ExprPtr l, child());
+      MAYBMS_ASSIGN_OR_RETURN(ExprPtr r, child());
+      return Expr::Compare(static_cast<CompareOp>(op), std::move(l),
+                           std::move(r));
+    }
+    case ExprKind::kArith: {
+      MAYBMS_ASSIGN_OR_RETURN(uint8_t op, cur->Read<uint8_t>());
+      if (op > static_cast<uint8_t>(ArithOp::kDiv)) break;
+      MAYBMS_ASSIGN_OR_RETURN(ExprPtr l, child());
+      MAYBMS_ASSIGN_OR_RETURN(ExprPtr r, child());
+      return Expr::Arith(static_cast<ArithOp>(op), std::move(l), std::move(r));
+    }
+    case ExprKind::kAnd:
+    case ExprKind::kOr: {
+      MAYBMS_ASSIGN_OR_RETURN(ExprPtr l, child());
+      MAYBMS_ASSIGN_OR_RETURN(ExprPtr r, child());
+      if (static_cast<ExprKind>(kind) == ExprKind::kAnd) {
+        return Expr::And(std::move(l), std::move(r));
+      }
+      return Expr::Or(std::move(l), std::move(r));
+    }
+    case ExprKind::kNot: {
+      MAYBMS_ASSIGN_OR_RETURN(ExprPtr e, child());
+      return Expr::Not(std::move(e));
+    }
+    case ExprKind::kIsNull: {
+      MAYBMS_ASSIGN_OR_RETURN(uint8_t negated, cur->Read<uint8_t>());
+      MAYBMS_ASSIGN_OR_RETURN(ExprPtr e, child());
+      return Expr::IsNull(std::move(e), negated != 0);
+    }
+    case ExprKind::kIn: {
+      MAYBMS_ASSIGN_OR_RETURN(uint32_t n, cur->Read<uint32_t>());
+      std::vector<Value> set;
+      for (uint32_t i = 0; i < n; ++i) {
+        MAYBMS_ASSIGN_OR_RETURN(Value v, ReadValue(cur));
+        set.push_back(std::move(v));
+      }
+      MAYBMS_ASSIGN_OR_RETURN(ExprPtr e, child());
+      return Expr::In(std::move(e), std::move(set));
+    }
+  }
+  return Status::ParseError(
+      StrFormat("malformed delta expression node (kind %u)", kind));
+}
+
+Status PutConstraint(std::string* out, const Constraint& c) {
   PutPod(out, static_cast<uint8_t>(c.kind()));
   PutLenString(out, c.relation());
   PutLenString(out, c.name());
   PutStringList(out, c.lhs());
   PutStringList(out, c.rhs());
+  if (c.kind() == ConstraintKind::kDomain) {
+    MAYBMS_RETURN_IF_ERROR(PutExpr(out, *c.predicate(), 0));
+  }
   return Status::OK();
 }
 
@@ -218,8 +338,11 @@ Result<Constraint> ReadConstraint(SnapshotCursor* cur) {
     case ConstraintKind::kKey:
       return Constraint::Key(std::move(relation), std::move(lhs),
                              std::move(name));
-    case ConstraintKind::kDomain:
-      break;
+    case ConstraintKind::kDomain: {
+      MAYBMS_ASSIGN_OR_RETURN(ExprPtr pred, ReadExpr(cur, 0));
+      return Constraint::Domain(std::move(relation), std::move(pred),
+                                std::move(name));
+    }
   }
   return Status::ParseError(
       StrFormat("unknown delta constraint kind %u", kind));
@@ -262,10 +385,21 @@ Result<std::string> DeltaBatch::Serialize() const {
             PutLenString(&out, o.relation);
             PutStringList(&out, o.key_attrs);
             PutLenString(&out, o.weight_attr);
-          } else {
-            static_assert(std::is_same_v<T, EnforceOp>);
+          } else if constexpr (std::is_same_v<T, EnforceOp>) {
             PutPod(&out, static_cast<uint8_t>(OpTag::kEnforce));
             MAYBMS_RETURN_IF_ERROR(PutConstraint(&out, o.constraint));
+          } else if constexpr (std::is_same_v<T, CreateOp>) {
+            PutPod(&out, static_cast<uint8_t>(OpTag::kCreate));
+            PutLenString(&out, o.relation);
+            PutPod(&out, static_cast<uint32_t>(o.schema.size()));
+            for (const Attribute& a : o.schema.attrs()) {
+              PutLenString(&out, a.name);
+              PutPod(&out, static_cast<uint8_t>(a.type));
+            }
+          } else {
+            static_assert(std::is_same_v<T, DropOp>);
+            PutPod(&out, static_cast<uint8_t>(OpTag::kDrop));
+            PutLenString(&out, o.relation);
           }
           return Status::OK();
         },
@@ -336,6 +470,27 @@ Result<DeltaBatch> DeltaBatch::Deserialize(std::string_view payload) {
         batch.Enforce(std::move(c));
         break;
       }
+      case OpTag::kCreate: {
+        MAYBMS_ASSIGN_OR_RETURN(std::string relation, cur.ReadLenString());
+        MAYBMS_ASSIGN_OR_RETURN(uint32_t n_attrs, cur.Read<uint32_t>());
+        std::vector<Attribute> attrs;
+        for (uint32_t a = 0; a < n_attrs; ++a) {
+          MAYBMS_ASSIGN_OR_RETURN(std::string name, cur.ReadLenString());
+          MAYBMS_ASSIGN_OR_RETURN(uint8_t type, cur.Read<uint8_t>());
+          if (type > static_cast<uint8_t>(ValueType::kString)) {
+            return Status::ParseError(
+                StrFormat("unknown delta attribute type %u", type));
+          }
+          attrs.push_back({std::move(name), static_cast<ValueType>(type)});
+        }
+        batch.CreateRelation(std::move(relation), Schema(std::move(attrs)));
+        break;
+      }
+      case OpTag::kDrop: {
+        MAYBMS_ASSIGN_OR_RETURN(std::string relation, cur.ReadLenString());
+        batch.DropRelation(std::move(relation));
+        break;
+      }
       default:
         return Status::ParseError(StrFormat("unknown delta op tag %u", tag));
     }
@@ -367,9 +522,13 @@ std::string DeltaBatch::ToString() const {
           } else if constexpr (std::is_same_v<T, RepairOp>) {
             out += StrFormat("repair key %s (%zu attrs)\n", o.relation.c_str(),
                              o.key_attrs.size());
-          } else {
-            static_assert(std::is_same_v<T, EnforceOp>);
+          } else if constexpr (std::is_same_v<T, EnforceOp>) {
             out += "enforce " + o.constraint.ToString() + "\n";
+          } else if constexpr (std::is_same_v<T, CreateOp>) {
+            out += "create " + o.relation + " " + o.schema.ToString() + "\n";
+          } else {
+            static_assert(std::is_same_v<T, DropOp>);
+            out += "drop " + o.relation + "\n";
           }
         },
         op);
@@ -531,13 +690,20 @@ Result<DeltaEffects> WsdDb::ApplyDelta(const DeltaBatch& batch) {
             effects.repair_conflicting_groups += rs.conflicting_groups;
             effects.repair_log2_worlds_added += rs.log2_worlds_added;
             touched_rels.push_back(ToLower(o.relation));
-          } else {
-            static_assert(std::is_same_v<T, DeltaBatch::EnforceOp>);
+          } else if constexpr (std::is_same_v<T, DeltaBatch::EnforceOp>) {
             MAYBMS_ASSIGN_OR_RETURN(EnforceStats es,
                                     maybms::Enforce(this, o.constraint));
             effects.enforce_removed_mass += es.removed_mass;
             effects.enforce_rows_removed += es.rows_removed;
             touched_rels.push_back(ToLower(o.constraint.relation()));
+          } else if constexpr (std::is_same_v<T, DeltaBatch::CreateOp>) {
+            MAYBMS_RETURN_IF_ERROR(CreateRelation(o.relation, o.schema));
+            touched_rels.push_back(ToLower(o.relation));
+          } else {
+            // A dropped relation has no caches left to invalidate; the
+            // components only it referenced stay, as unreferenced ones.
+            static_assert(std::is_same_v<T, DeltaBatch::DropOp>);
+            return DropRelation(o.relation);
           }
           return Status::OK();
         },

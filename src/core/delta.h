@@ -1,10 +1,10 @@
 // DeltaBatch: the unified mutation API of a world-set database.
 //
-// Every mutation of a WsdDb — SQL INSERT / REPAIR KEY / ENFORCE /
-// DELETE, the server's per-relation commit path, and the streaming
-// ingest entry point — is expressed as an ordered batch of delta ops
-// and applied through WsdDb::ApplyDelta. Funneling mutations through
-// one door buys three things:
+// Every mutation of a WsdDb — SQL CREATE / DROP TABLE, INSERT, REPAIR
+// KEY, ENFORCE and DELETE, the server's per-relation commit path, and
+// the streaming ingest entry point — is expressed as an ordered batch
+// of delta ops and applied through WsdDb::ApplyDelta. Funneling
+// mutations through one door buys three things:
 //
 //   - *Delta-scoped invalidation.* ApplyDelta records exactly which
 //     components each op dirtied or removed and invalidates only the
@@ -14,10 +14,11 @@
 //     level caches (materialized confidence, server result cache) can
 //     be maintained incrementally.
 //   - *Durability.* A batch serializes to one WAL record
-//     (wal::RecordType::kDelta); replaying the record re-applies the
-//     identical ops in the identical order, reproducing the same
-//     component ids and owner ids (AddComponent allocates densely from
-//     component_slot_count(), which snapshots persist).
+//     (wal::RecordType::kDelta, the only kind the engine writes);
+//     replaying the record re-applies the identical ops in the
+//     identical order, reproducing the same component ids and owner
+//     ids (AddComponent allocates densely from component_slot_count(),
+//     which snapshots persist).
 //   - *Deterministic partial failure.* Ops apply in order and stop at
 //     the first error; already-applied ops stay applied. Replay of the
 //     same batch against the same state therefore reproduces the same
@@ -37,6 +38,7 @@
 #include "common/result.h"
 #include "core/builder.h"
 #include "core/types.h"
+#include "storage/schema.h"
 #include "storage/value.h"
 
 namespace maybms {
@@ -71,12 +73,18 @@ class DeltaBatch {
   /// Constraint enforcement as a delta op (chase/enforce.h).
   DeltaBatch& Enforce(Constraint constraint);
 
+  /// Adds an empty relation (fails if the name is taken).
+  DeltaBatch& CreateRelation(std::string relation, Schema schema);
+
+  /// Removes a relation from the catalog (fails if it is missing).
+  DeltaBatch& DropRelation(std::string relation);
+
   size_t size() const { return ops_.size(); }
   bool empty() const { return ops_.empty(); }
 
-  /// Serializes the batch into a WAL payload. Fails on domain
-  /// constraints (their predicate is an expression tree with no binary
-  /// encoding); the SQL path logs those as statement text instead.
+  /// Serializes the batch into a WAL payload. Fails on pending cells
+  /// (which no batch can apply) and on domain predicates nested deeper
+  /// than the decoder accepts.
   Result<std::string> Serialize() const;
 
   /// Parses a payload produced by Serialize.
@@ -113,8 +121,15 @@ class DeltaBatch {
   struct EnforceOp {
     Constraint constraint;
   };
+  struct CreateOp {
+    std::string relation;
+    Schema schema;
+  };
+  struct DropOp {
+    std::string relation;
+  };
   using Op = std::variant<InsertOp, EvictOp, ReweightOp, SetCellOp, RepairOp,
-                          EnforceOp>;
+                          EnforceOp, CreateOp, DropOp>;
 
   const std::vector<Op>& ops() const { return ops_; }
 

@@ -191,9 +191,6 @@ struct Statement {
   std::optional<CheckpointStmt> checkpoint;
   std::optional<SetStmt> set;
   std::optional<DeleteStmt> delete_stmt;
-  /// The statement's own SQL text (trimmed; no trailing ';'), captured by
-  /// the parser — what the session writes to the write-ahead log.
-  std::string source_text;
 };
 
 }  // namespace sql

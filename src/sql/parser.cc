@@ -1,8 +1,5 @@
 #include "sql/parser.h"
 
-#include <algorithm>
-#include <cctype>
-
 #include "common/string_util.h"
 #include "sql/token.h"
 
@@ -13,13 +10,10 @@ namespace {
 
 class Parser {
  public:
-  Parser(std::string input, std::vector<Token> tokens)
-      : input_(std::move(input)), tokens_(std::move(tokens)) {}
+  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
   Result<Statement> ParseOne() {
-    const size_t begin = Cur().offset;
     MAYBMS_ASSIGN_OR_RETURN(Statement s, ParseStatementInternal());
-    s.source_text = SliceSource(begin, Cur().offset);
     Accept(";");
     if (!At(TokenKind::kEnd)) {
       return Error("trailing input after statement");
@@ -31,9 +25,7 @@ class Parser {
     std::vector<Statement> out;
     while (!At(TokenKind::kEnd)) {
       if (Accept(";")) continue;
-      const size_t begin = Cur().offset;
       MAYBMS_ASSIGN_OR_RETURN(Statement s, ParseStatementInternal());
-      s.source_text = SliceSource(begin, Cur().offset);
       out.push_back(std::move(s));
       if (!Accept(";") && !At(TokenKind::kEnd)) {
         return Error("expected ';' between statements");
@@ -98,21 +90,6 @@ class Parser {
     }
     return Error(std::string("expected ") + what);
   }
-  /// The input text between byte offsets, trimmed — the statement's own
-  /// SQL, captured for the write-ahead log.
-  std::string SliceSource(size_t begin, size_t end) const {
-    end = std::min(end, input_.size());
-    while (begin < end &&
-           std::isspace(static_cast<unsigned char>(input_[begin]))) {
-      ++begin;
-    }
-    while (end > begin &&
-           std::isspace(static_cast<unsigned char>(input_[end - 1]))) {
-      --end;
-    }
-    return input_.substr(begin, end - begin);
-  }
-
   // Returns a Status that converts implicitly into any Result<T>.
   Status Error(const std::string& msg) const {
     return Status::ParseError(
@@ -685,7 +662,6 @@ class Parser {
     return Error("expected expression");
   }
 
-  std::string input_;
   std::vector<Token> tokens_;
   size_t pos_ = 0;
 };
@@ -694,13 +670,13 @@ class Parser {
 
 Result<Statement> ParseStatement(const std::string& input) {
   MAYBMS_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(input));
-  Parser p(input, std::move(tokens));
+  Parser p(std::move(tokens));
   return p.ParseOne();
 }
 
 Result<std::vector<Statement>> ParseScript(const std::string& input) {
   MAYBMS_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(input));
-  Parser p(input, std::move(tokens));
+  Parser p(std::move(tokens));
   return p.ParseAll();
 }
 

@@ -213,24 +213,11 @@ Status Session::EnsureResident() {
   return Status::OK();
 }
 
-bool Session::IsLoggedKind(Statement::Kind kind) {
-  switch (kind) {
-    case Statement::Kind::kCreateTable:
-    case Statement::Kind::kDropTable:
-    case Statement::Kind::kInsert:
-    case Statement::Kind::kEnforce:
-    case Statement::Kind::kRepair:
-    case Statement::Kind::kDelete:
-      return true;
-    default:
-      return false;
-  }
-}
-
-Result<uint64_t> Session::WriteSnapshot(const std::string& path,
+Result<uint64_t> Session::WriteSnapshot(const WsdDb& db,
+                                        const std::string& path,
                                         SnapshotFormat format,
                                         uint64_t* out_bytes) {
-  MAYBMS_ASSIGN_OR_RETURN(std::string bytes, SerializeWsdDb(db_, format));
+  MAYBMS_ASSIGN_OR_RETURN(std::string bytes, SerializeWsdDb(db, format));
   MAYBMS_RETURN_IF_ERROR(AtomicWriteFile(env(), path, bytes));
   if (out_bytes != nullptr) *out_bytes = bytes.size();
   return wal::SnapshotFingerprint(bytes);
@@ -248,7 +235,7 @@ Status Session::Checkpoint() {
   // next load discards that log instead of double-applying it.
   MAYBMS_ASSIGN_OR_RETURN(
       uint64_t fingerprint,
-      WriteSnapshot(attach_->db_path, attach_->format, nullptr));
+      WriteSnapshot(db_, attach_->db_path, attach_->format, nullptr));
   attach_->writer.reset();
   MAYBMS_ASSIGN_OR_RETURN(
       wal::WalWriter writer,
@@ -258,67 +245,52 @@ Status Session::Checkpoint() {
   return Status::OK();
 }
 
-size_t Session::ReplayWal(const std::vector<wal::WalRecord>& records) {
-  replaying_ = true;
-  size_t applied = 0;
+void Session::CheckpointOrDetach() {
+  if (!Checkpoint().ok() && attach_) attach_->writer.reset();
+}
+
+Status Session::ReplayWal(const std::vector<wal::WalRecord>& records,
+                          WsdDb* db, bool* fold_now) {
+  *fold_now = false;
   for (const wal::WalRecord& rec : records) {
-    // Errors are deliberately dropped: a statement or batch that failed
-    // (or half-applied, e.g. a multi-row INSERT hitting a type error on
-    // its second row) when first executed does the same on replay — the
-    // engine applies row-level mutations deterministically in record
-    // order, so the recovered state matches the crashed one.
-    if (rec.type == wal::RecordType::kDelta) {
-      Result<DeltaBatch> batch = DeltaBatch::Deserialize(rec.payload);
-      if (batch.ok() && db_.ApplyDelta(*batch).ok()) ++applied;
+    if (rec.type == wal::RecordType::kStatement) {
+      ReplayLegacyWal(records, db);
+      *fold_now = true;
+      return Status::OK();
+    }
+  }
+  for (size_t i = 0; i < records.size(); ++i) {
+    Result<DeltaBatch> batch = DeltaBatch::Deserialize(records[i].payload);
+    const Status st =
+        batch.ok() ? db->ApplyDelta(*batch).status() : batch.status();
+    if (st.ok()) continue;
+    if (batch.ok() && i + 1 == records.size()) {
+      *fold_now = true;
+      break;
+    }
+    return Status::ParseError(StrFormat(
+        "corrupt WAL record at LSN %llu: %s",
+        static_cast<unsigned long long>(records[i].lsn),
+        st.ToString().c_str()));
+  }
+  return Status::OK();
+}
+
+void Session::ReplayLegacyWal(const std::vector<wal::WalRecord>& records,
+                              WsdDb* db) {
+  Session legacy(std::move(*db));
+  for (const wal::WalRecord& rec : records) {
+    if (rec.type == wal::RecordType::kStatement) {
+      (void)legacy.Execute(rec.payload);
       continue;
     }
-    Result<StatementResult> r = Execute(rec.payload);
-    if (r.ok()) ++applied;
+    Result<DeltaBatch> batch = DeltaBatch::Deserialize(rec.payload);
+    if (batch.ok()) (void)legacy.db_.ApplyDelta(*batch);
   }
-  replaying_ = false;
-  return applied;
+  *db = std::move(legacy.db_);
 }
 
 Result<StatementResult> Session::ExecuteParsed(const Statement& stmt) {
-  const bool log_it =
-      !replaying_ && attach_.has_value() && IsLoggedKind(stmt.kind);
-  if (log_it) {
-    if (!attach_->writer) {
-      return Status::Internal("durable attachment has no WAL writer");
-    }
-    if (stmt.source_text.empty()) {
-      // Statements built by hand (not through the parser) carry no SQL
-      // text and therefore cannot be replayed; refusing is safer than
-      // silently leaving a hole in the log.
-      return Status::InvalidArgument(
-          "cannot log a statement without source text to the WAL; "
-          "detach (checkpoint) or execute through the parser");
-    }
-    // Append + fsync BEFORE applying: once the statement acknowledges,
-    // it is durable; if the append fails nothing was applied.
-    MAYBMS_ASSIGN_OR_RETURN(
-        uint64_t lsn,
-        attach_->writer->Append(wal::RecordType::kStatement,
-                                stmt.source_text));
-    (void)lsn;
-  }
-  MAYBMS_ASSIGN_OR_RETURN(StatementResult result, ExecuteParsedImpl(stmt));
-  if (log_it && options_.durability.auto_checkpoint_records > 0 &&
-      attach_ && attach_->writer &&
-      attach_->writer->record_count() >=
-          options_.durability.auto_checkpoint_records) {
-    Status st = Checkpoint();
-    if (!st.ok()) {
-      // Non-fatal: the statement itself is durable in the log; the
-      // checkpoint retries on the next threshold crossing.
-      result.message +=
-          "\n(warning: auto-checkpoint failed: " + st.ToString() + ")";
-    }
-  }
-  return result;
-}
-
-Result<StatementResult> Session::ExecuteParsedImpl(const Statement& stmt) {
   // SELECT and EXPLAIN run against the mapped snapshot directly (that is
   // the point of MAPPED); everything else mutates or fully reads the
   // catalog, so it first forces the snapshot resident.
@@ -342,15 +314,18 @@ Result<StatementResult> Session::ExecuteParsedImpl(const Statement& stmt) {
   StatementResult result;
   switch (stmt.kind) {
     case Statement::Kind::kCreateTable: {
-      MAYBMS_RETURN_IF_ERROR(db_.CreateRelation(stmt.create_table->name,
-                                                stmt.create_table->schema));
+      DeltaBatch batch;
+      batch.CreateRelation(stmt.create_table->name, stmt.create_table->schema);
+      MAYBMS_RETURN_IF_ERROR(ApplyDelta(batch).status());
       result.message =
           "created table " + stmt.create_table->name + " " +
           stmt.create_table->schema.ToString();
       return result;
     }
     case Statement::Kind::kDropTable: {
-      MAYBMS_RETURN_IF_ERROR(db_.DropRelation(stmt.drop_table->name));
+      DeltaBatch batch;
+      batch.DropRelation(stmt.drop_table->name);
+      MAYBMS_RETURN_IF_ERROR(ApplyDelta(batch).status());
       result.message = "dropped table " + stmt.drop_table->name;
       return result;
     }
@@ -390,10 +365,11 @@ Result<StatementResult> Session::ExecuteParsedImpl(const Statement& stmt) {
     case Statement::Kind::kEnforce:
       return RunEnforce(*stmt.enforce);
     case Statement::Kind::kRepair: {
+      MAYBMS_RETURN_IF_ERROR(db_.GetRelation(stmt.repair->table).status());
       DeltaBatch batch;
       batch.RepairKey(stmt.repair->table, stmt.repair->key,
                       stmt.repair->weight);
-      MAYBMS_ASSIGN_OR_RETURN(DeltaEffects effects, db_.ApplyDelta(batch));
+      MAYBMS_ASSIGN_OR_RETURN(DeltaEffects effects, ApplyDelta(batch));
       StatementResult result;
       result.message = StrFormat(
           "repaired key (%s) in %s: %zu group(s), %zu conflicting, "
@@ -429,7 +405,7 @@ Result<StatementResult> Session::RunSaveDb(const SaveDbStmt& stmt) {
   attach_.reset();
   uint64_t bytes = 0;
   MAYBMS_ASSIGN_OR_RETURN(uint64_t fingerprint,
-                          WriteSnapshot(stmt.path, format, &bytes));
+                          WriteSnapshot(db_, stmt.path, format, &bytes));
   StatementResult result;
   result.message = StrFormat(
       "saved database to '%s' (%s format, %s)", stmt.path.c_str(),
@@ -467,40 +443,29 @@ Result<StatementResult> Session::RunLoadDb(const LoadDbStmt& stmt) {
           contents->snapshot_fingerprint == fingerprint &&
           !contents->records.empty()) {
         // The log is newer than the snapshot: a mapped open cannot apply
-        // it lazily, so materialize, replay, checkpoint (folding the log
-        // into the snapshot) and re-map the now-current file.
+        // it lazily, so materialize, replay, rewrite the snapshot
+        // (folding the log in) and re-map the now-current file. The
+        // catalog is swapped only at the end, so a failure on the way
+        // leaves the session untouched (a half-written snapshot's stale
+        // log is ignored by the fingerprint check next time).
         MAYBMS_ASSIGN_OR_RETURN(WsdDb full, mapped.MaterializeAll());
+        bool fold_now = false;  // folded below either way
+        MAYBMS_RETURN_IF_ERROR(ReplayWal(contents->records, &full, &fold_now));
         pending_records = contents->records.size();
-        WsdDb saved_db = std::move(db_);
-        auto saved_mapped = std::move(mapped_);
-        db_ = std::move(full);
-        mapped_.reset();
-        ReplayWal(contents->records);
         attach_.reset();
-        uint64_t bytes = 0;
-        Result<uint64_t> fp2 =
-            WriteSnapshot(stmt.path, SnapshotFormat::kBinary, &bytes);
-        Result<MappedWsdDb> remapped =
-            fp2.ok() ? MappedWsdDb::Open(stmt.path, {}, env())
-                     : Result<MappedWsdDb>(fp2.status());
-        Result<wal::WalWriter> writer =
-            remapped.ok() ? wal::WalWriter::Create(env(), wal_path, *fp2,
-                                                   /*base_lsn=*/1)
-                          : Result<wal::WalWriter>(remapped.status());
-        if (!writer.ok()) {
-          // Roll the catalog back so a failed LOAD leaves the session
-          // untouched (the replayed snapshot may be half-written; its
-          // stale log is ignored by the fingerprint check next time).
-          db_ = std::move(saved_db);
-          mapped_ = std::move(saved_mapped);
-          return writer.status();
-        }
-        mapped = std::move(*remapped);
+        MAYBMS_ASSIGN_OR_RETURN(
+            uint64_t fp,
+            WriteSnapshot(full, stmt.path, SnapshotFormat::kBinary, nullptr));
+        MAYBMS_ASSIGN_OR_RETURN(mapped,
+                                MappedWsdDb::Open(stmt.path, {}, env()));
+        MAYBMS_ASSIGN_OR_RETURN(
+            wal::WalWriter writer,
+            wal::WalWriter::Create(env(), wal_path, fp, /*base_lsn=*/1));
         DurableAttachment a;
         a.db_path = stmt.path;
         a.wal_path = wal_path;
         a.format = SnapshotFormat::kBinary;
-        a.writer.emplace(std::move(*writer));
+        a.writer.emplace(std::move(writer));
         attach_.emplace(std::move(a));
       } else {
         MAYBMS_RETURN_IF_ERROR(AttachForLoad(stmt.path, wal_path, fingerprint,
@@ -544,9 +509,9 @@ Result<StatementResult> Session::RunLoadDb(const LoadDbStmt& stmt) {
   }
 
   // Durable eager load: snapshot bytes are read once and reused for both
-  // decoding and the WAL fingerprint; all fallible I/O (snapshot read,
-  // log scan, torn-tail repair, log reset) happens before the catalog
-  // swap, so a failed LOAD leaves the session untouched.
+  // decoding and the WAL fingerprint; all fallible work (snapshot read,
+  // log scan and replay, torn-tail repair, log reset) happens before the
+  // catalog swap, so a failed LOAD leaves the session untouched.
   MAYBMS_ASSIGN_OR_RETURN(std::string bytes,
                           env()->ReadFileToString(stmt.path));
   const uint64_t fingerprint = wal::SnapshotFingerprint(bytes);
@@ -560,12 +525,12 @@ Result<StatementResult> Session::RunLoadDb(const LoadDbStmt& stmt) {
     MAYBMS_ASSIGN_OR_RETURN(loaded, ReadWsdDb(in));
   }
   Result<wal::WalContents> contents = wal::ReadWal(env(), wal_path);
-  std::vector<wal::WalRecord> to_replay;
+  size_t replayed = 0;
+  bool fold_now = false;
   if (contents.ok() && contents->usable &&
       contents->snapshot_fingerprint == fingerprint) {
-    // Copied, not moved: AttachForLoad still needs the record count to
-    // continue the log at the right LSN.
-    to_replay = contents->records;
+    MAYBMS_RETURN_IF_ERROR(ReplayWal(contents->records, &loaded, &fold_now));
+    replayed = contents->records.size();
   }
   attach_.reset();
   MAYBMS_RETURN_IF_ERROR(
@@ -573,16 +538,18 @@ Result<StatementResult> Session::RunLoadDb(const LoadDbStmt& stmt) {
 
   db_ = std::move(loaded);
   mapped_.reset();
-  if (!to_replay.empty()) ReplayWal(to_replay);
+  // A legacy log, or a failing last record, must not stay live: a new
+  // record appended behind it would turn it into a corrupt middle one.
+  if (fold_now) CheckpointOrDetach();
 
   result.message = StrFormat(
       "loaded database from '%s': %zu relation(s), %zu component(s), "
       "2^%.4g choice combinations",
       stmt.path.c_str(), db_.relations().size(), db_.NumLiveComponents(),
       db_.Log2WorldCount());
-  if (!to_replay.empty()) {
+  if (replayed > 0) {
     result.message += StrFormat("; recovered %zu statement(s) from '%s'",
-                                to_replay.size(), wal_path.c_str());
+                                replayed, wal_path.c_str());
   }
   return result;
 }
@@ -647,7 +614,7 @@ Result<StatementResult> Session::RunInsert(const InsertStmt& stmt) {
     }
     batch.Insert(stmt.table, std::move(cells));
   }
-  MAYBMS_ASSIGN_OR_RETURN(DeltaEffects effects, db_.ApplyDelta(batch));
+  MAYBMS_ASSIGN_OR_RETURN(DeltaEffects effects, ApplyDelta(batch));
   StatementResult result;
   result.message = StrFormat("inserted %zu tuple(s) into %s",
                              effects.tuples_inserted, stmt.table.c_str());
@@ -761,6 +728,7 @@ Result<StatementResult> Session::RunSelect(const SelectStmt& stmt) {
 }
 
 Result<StatementResult> Session::RunEnforce(const EnforceStmt& stmt) {
+  MAYBMS_RETURN_IF_ERROR(db_.GetRelation(stmt.table).status());
   Constraint c = [&] {
     switch (stmt.kind) {
       case EnforceStmt::Kind::kCheck:
@@ -776,7 +744,7 @@ Result<StatementResult> Session::RunEnforce(const EnforceStmt& stmt) {
   const double log2_before = db_.Log2WorldCount();
   DeltaBatch batch;
   batch.Enforce(c);
-  MAYBMS_ASSIGN_OR_RETURN(DeltaEffects effects, db_.ApplyDelta(batch));
+  MAYBMS_ASSIGN_OR_RETURN(DeltaEffects effects, ApplyDelta(batch));
   StatementResult result;
   result.message = StrFormat(
       "enforced %s: removed probability mass %.6g, %zu component row(s) "
@@ -788,27 +756,27 @@ Result<StatementResult> Session::RunEnforce(const EnforceStmt& stmt) {
 
 Result<DeltaEffects> Session::ApplyDelta(const DeltaBatch& batch) {
   MAYBMS_RETURN_IF_ERROR(EnsureResident());
-  const bool log_it = !replaying_ && attach_.has_value();
-  if (log_it) {
-    if (!attach_->writer) {
-      return Status::Internal("durable attachment has no WAL writer");
-    }
-    // Serialize + append + fsync BEFORE applying, mirroring the
-    // statement path: an acknowledged batch is durable; a failed append
-    // applies nothing.
-    MAYBMS_ASSIGN_OR_RETURN(std::string payload, batch.Serialize());
-    MAYBMS_ASSIGN_OR_RETURN(
-        uint64_t lsn,
-        attach_->writer->Append(wal::RecordType::kDelta, payload));
-    (void)lsn;
+  if (!attach_) return db_.ApplyDelta(batch);
+  if (!attach_->writer) {
+    return Status::Unavailable(
+        "the write-ahead log is detached after a failed checkpoint; run "
+        "CHECKPOINT");
   }
-  MAYBMS_ASSIGN_OR_RETURN(DeltaEffects effects, db_.ApplyDelta(batch));
-  if (log_it && options_.durability.auto_checkpoint_records > 0 &&
-      attach_ && attach_->writer &&
-      attach_->writer->record_count() >=
-          options_.durability.auto_checkpoint_records) {
-    // Non-fatal, like the statement path: the batch is durable in the
-    // log either way; a failed checkpoint retries on the next crossing.
+  // Serialize + append + fsync BEFORE applying: an acknowledged batch is
+  // durable; a failed serialize or append applies nothing.
+  MAYBMS_ASSIGN_OR_RETURN(std::string payload, batch.Serialize());
+  MAYBMS_RETURN_IF_ERROR(
+      attach_->writer->Append(wal::RecordType::kDelta, payload).status());
+  Result<DeltaEffects> effects = db_.ApplyDelta(batch);
+  const size_t threshold = options_.durability.auto_checkpoint_records;
+  if (!effects.ok()) {
+    // Fold the half-applied batch into the snapshot at once, so a live
+    // log never keeps a failing record (replay treats one as corruption
+    // unless it is the log's last).
+    CheckpointOrDetach();
+  } else if (threshold > 0 && attach_->writer->record_count() >= threshold) {
+    // Non-fatal: the batch is durable in the log either way; a failed
+    // checkpoint retries on the next crossing.
     (void)Checkpoint();
   }
   return effects;
@@ -828,7 +796,7 @@ Result<StatementResult> Session::RunDelete(const DeleteStmt& stmt) {
   (void)rel;
   DeltaBatch batch;
   batch.EvictOldest(stmt.table, stmt.count);
-  MAYBMS_ASSIGN_OR_RETURN(DeltaEffects effects, db_.ApplyDelta(batch));
+  MAYBMS_ASSIGN_OR_RETURN(DeltaEffects effects, ApplyDelta(batch));
   StatementResult result;
   result.message = StrFormat(
       "evicted %zu tuple(s) from %s (%zu component(s) collected)",

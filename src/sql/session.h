@@ -30,17 +30,18 @@ namespace sql {
 
 /// Durability knobs. When the WAL is enabled, SAVE DATABASE (and LOAD
 /// DATABASE of a saved snapshot) attaches the session to the snapshot
-/// file: every subsequent mutating statement is appended to
-/// `<snapshot>.wal` and fsynced *before* it is applied, so a crash loses
-/// at most the statement that never acknowledged. LOAD DATABASE replays
-/// any log newer than the snapshot; CHECKPOINT (or the automatic
-/// threshold) rewrites the snapshot and resets the log.
+/// file: every subsequent mutation — a mutating statement or an
+/// ApplyDelta batch — is appended to `<snapshot>.wal` as one serialized
+/// DeltaBatch and fsynced *before* it is applied, so a crash loses at
+/// most the mutation that never acknowledged. LOAD DATABASE replays any
+/// log newer than the snapshot; CHECKPOINT (or the automatic threshold)
+/// rewrites the snapshot and resets the log.
 struct DurabilityOptions {
   /// Master switch; when false SAVE/LOAD never attach a log.
   bool wal_enabled = true;
-  /// Checkpoint automatically once the log holds this many statements
-  /// (0 = only on explicit CHECKPOINT). A failed auto-checkpoint is a
-  /// warning, not a statement failure — the log keeps the data safe.
+  /// Checkpoint automatically once the log holds this many records
+  /// (0 = only on explicit CHECKPOINT). A failed auto-checkpoint does
+  /// not fail the mutation — the log keeps the data safe.
   size_t auto_checkpoint_records = 256;
 };
 
@@ -113,29 +114,16 @@ class Session {
   /// query returns (e.g. approx.seed).
   uint64_t SettingsFingerprint() const;
 
-  // Pre-aggregate accessors, kept as shims over options(); prefer
-  // options()/mutable_options() in new code.
-  const ConfidenceOptions& conf_options() const { return options_.conf; }
-  ConfidenceOptions& mutable_conf_options() { return options_.conf; }
-  const ApproxOptions& approx_options() const { return options_.approx; }
-  ApproxOptions& mutable_approx_options() { return options_.approx; }
-  const ExecOptions& exec_options() const { return options_.exec; }
-  ExecOptions& mutable_exec_options() { return options_.exec; }
-  const OptimizerOptions& optimizer_options() const {
-    return options_.optimizer;
-  }
-  OptimizerOptions& mutable_optimizer_options() { return options_.optimizer; }
-  const DurabilityOptions& durability_options() const {
-    return options_.durability;
-  }
-  DurabilityOptions& mutable_durability_options() {
-    return options_.durability;
-  }
-
-  /// Applies one delta batch (core/delta.h) — the streaming ingest
-  /// entry point. With a durable attachment the serialized batch is
-  /// appended and fsynced as one wal::RecordType::kDelta record BEFORE
-  /// applying, mirroring the statement path's logging discipline.
+  /// Applies one delta batch (core/delta.h) — the streaming ingest entry
+  /// point, and the one door every mutating statement goes through too.
+  /// With a durable attachment the serialized batch is appended and
+  /// fsynced as one wal::RecordType::kDelta record BEFORE applying, so
+  /// an acknowledged batch is durable and a batch that cannot be logged
+  /// applies nothing. A logged batch that then fails to apply keeps its
+  /// deterministic partial effect and is checkpointed at once, so a live
+  /// log never holds a failing record; if that checkpoint fails the
+  /// session drops its WAL writer and refuses mutations until a
+  /// CHECKPOINT succeeds.
   Result<DeltaEffects> ApplyDelta(const DeltaBatch& batch);
 
   /// The session's content-keyed confidence cache, created lazily;
@@ -155,7 +143,7 @@ class Session {
   std::string attached_path() const {
     return attach_ ? attach_->db_path : std::string();
   }
-  /// Statements currently in the attached log (0 when none).
+  /// Records currently in the attached log (0 when none).
   uint64_t wal_record_count() const {
     return attach_ && attach_->writer ? attach_->writer->record_count() : 0;
   }
@@ -192,7 +180,6 @@ class Session {
     std::optional<wal::WalWriter> writer;
   };
 
-  Result<StatementResult> ExecuteParsedImpl(const Statement& stmt);
   Result<StatementResult> RunSelect(const SelectStmt& stmt);
   Result<StatementResult> RunInsert(const InsertStmt& stmt);
   Result<StatementResult> RunEnforce(const EnforceStmt& stmt);
@@ -204,21 +191,35 @@ class Session {
   /// Statements that mutate or read the whole catalog force the mapped
   /// snapshot fully resident (into db_) and drop the mapping.
   Status EnsureResident();
-  /// True for statement kinds whose effects must reach the WAL.
-  static bool IsLoggedKind(Statement::Kind kind);
-  /// Serializes db_ to `path` atomically; returns the bytes' fingerprint.
-  Result<uint64_t> WriteSnapshot(const std::string& path,
+  /// Serializes `db` to `path` atomically; returns the bytes'
+  /// fingerprint.
+  Result<uint64_t> WriteSnapshot(const WsdDb& db, const std::string& path,
                                  SnapshotFormat format, uint64_t* out_bytes);
+  /// Checkpoints now; on failure drops the WAL writer, so nothing more
+  /// is acknowledged until a CHECKPOINT succeeds.
+  void CheckpointOrDetach();
   /// Binds the session to `db_path` + `wal_path` after a load: continues
   /// a matching log (tail-repaired), or starts a fresh one when the log
   /// is missing, corrupt, or from another snapshot generation.
   Status AttachForLoad(const std::string& db_path, const std::string& wal_path,
                        uint64_t fingerprint, SnapshotFormat format,
                        const Result<wal::WalContents>& contents);
-  /// Applies WAL records to db_ (errors per record are deliberately
-  /// ignored: a statement that failed when first executed fails — or
-  /// half-applies — identically on replay). Returns records applied.
-  size_t ReplayWal(const std::vector<wal::WalRecord>& records);
+  /// Decodes and applies a log's kDelta records to `db`, the freshly
+  /// loaded snapshot (not yet the session's catalog, so nothing is
+  /// re-logged). A record that does not decode, or that fails to apply
+  /// anywhere but last, is a corruption error naming its LSN. A failing
+  /// last record is the one a crash caught before its checkpoint: its
+  /// deterministic partial effect is kept and *fold_now is set, asking
+  /// the caller to checkpoint at once. A log holding any legacy
+  /// kStatement record goes through ReplayLegacyWal and sets *fold_now.
+  static Status ReplayWal(const std::vector<wal::WalRecord>& records,
+                          WsdDb* db, bool* fold_now);
+  /// The one-time upgrade of a log written by older builds, which logged
+  /// SQL statements as text: replays every record through a temporary
+  /// non-durable session, dropping per-record errors as those builds
+  /// did (they logged statements that then failed).
+  static void ReplayLegacyWal(const std::vector<wal::WalRecord>& records,
+                              WsdDb* db);
 
   WsdDb db_;
   /// Engaged after LOAD DATABASE ... MAPPED; db_ then holds the
@@ -232,8 +233,6 @@ class Session {
   size_t conf_cache_capacity_ = 0;
   Env* env_ = nullptr;
   std::optional<DurableAttachment> attach_;
-  /// True while replaying a WAL: suppresses re-logging.
-  bool replaying_ = false;
 };
 
 }  // namespace sql

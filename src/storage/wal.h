@@ -34,13 +34,17 @@ inline std::string WalPathFor(const std::string& snapshot_path) {
 }
 
 enum class RecordType : uint8_t {
-  kStatement = 1,  ///< payload = the SQL text of one mutating statement
-  kDelta = 2,      ///< payload = a serialized DeltaBatch (core/delta.h)
+  /// Legacy, read-only: the SQL text of one mutating statement, as
+  /// older builds logged it. LOAD upgrades such a log once.
+  kStatement = 1,
+  /// payload = a serialized DeltaBatch (core/delta.h); the only kind
+  /// the engine writes.
+  kDelta = 2,
 };
 
 struct WalRecord {
   uint64_t lsn = 0;
-  RecordType type = RecordType::kStatement;
+  RecordType type = RecordType::kDelta;
   std::string payload;
 };
 

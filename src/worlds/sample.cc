@@ -80,15 +80,6 @@ Result<Relation> EstimateConfidenceBySampling(const WsdDb& db,
   return out;
 }
 
-Result<Relation> ApproximateConfTable(const WsdDb& db,
-                                      const std::string& rel_name,
-                                      size_t samples, uint64_t seed) {
-  SampleConfOptions options;
-  options.samples = samples;
-  options.seed = seed;
-  return EstimateConfidenceBySampling(db, rel_name, options);
-}
-
 Result<Relation> ApproximateConfTableByWorlds(const WsdDb& db,
                                               const std::string& rel_name,
                                               size_t samples, uint64_t seed) {

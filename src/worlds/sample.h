@@ -46,10 +46,6 @@ Result<Relation> EstimateConfidenceBySampling(
     const WsdDb& db, const std::string& rel,
     const SampleConfOptions& options = {});
 
-/// Back-compat wrapper around EstimateConfidenceBySampling.
-Result<Relation> ApproximateConfTable(const WsdDb& db, const std::string& rel,
-                                      size_t samples, uint64_t seed = 42);
-
 /// The original estimator: materializes `samples` full worlds as
 /// `Catalog`s and counts per-world vector frequencies. Quadratically
 /// more expensive than the streaming path (every sample resolves every

@@ -8,7 +8,8 @@
 //     phase), ECOUNT and ESUM;
 //   - serialize → deserialize → apply reproduces the exact same
 //     database state as applying the original batch (the WAL-replay
-//     contract), including after mid-batch failures.
+//     contract), including after mid-batch failures — for every op
+//     kind, relation create/drop and domain ENFORCE included.
 //
 // MAYBMS_DELTA_FUZZ_ITERS raises the iteration budget for the long
 // `ctest -L fuzz` entry.
@@ -40,15 +41,57 @@ size_t IterationBudget(const char* env_var, size_t default_iters) {
   return v > 0 ? static_cast<size_t>(v) : default_iters;
 }
 
+/// A random domain predicate over one column of `r`, built from every
+/// expression kind the delta codec encodes.
+ExprPtr RandomPredicate(Rng* rng, const WsdRelation& r) {
+  const size_t c = rng->NextBelow(r.schema().size());
+  const Attribute& attr = r.schema().attr(c);
+  const bool is_str = attr.type == ValueType::kString;
+  auto value = [&] {
+    int v = static_cast<int>(rng->NextBelow(4));
+    return is_str ? Value::String(std::string(1, char('a' + v)))
+                  : Value::Int(v);
+  };
+  ExprPtr col = Expr::Column(attr.name);
+  const auto op = static_cast<CompareOp>(rng->NextBelow(6));
+  switch (rng->NextBelow(4)) {
+    case 0:
+      return Expr::Compare(op, col, Expr::Const(value()));
+    case 1:
+      return Expr::Or(Expr::Compare(op, col, Expr::Const(value())),
+                      Expr::IsNull(col, rng->NextBernoulli(0.5)));
+    case 2:
+      return Expr::Not(Expr::In(col, {value(), value()}));
+    default:
+      if (is_str) {
+        return Expr::And(Expr::Compare(op, col, Expr::Const(value())),
+                         Expr::Const(Value::Bool(true)));
+      }
+      return Expr::Compare(
+          op, Expr::Arith(ArithOp::kAdd, col, Expr::Const(Value::Int(1))),
+          Expr::Const(Value::Int(2)));
+  }
+}
+
 /// One random delta op against the session's current state. Ops may be
-/// invalid (evicting a missing relation, reweighting with bad mass) —
-/// deliberately: failed batches must fail identically on both replicas
-/// and leave identical states behind.
+/// invalid (evicting a missing relation, reweighting with bad mass,
+/// creating a taken name, conditioning every world away) — deliberately:
+/// failed batches must fail identically on both replicas and leave
+/// identical states behind.
 void AddRandomOp(Rng* rng, const WsdDb& db, DeltaBatch* batch) {
+  auto create = [&] {
+    batch->CreateRelation(
+        "N" + std::to_string(rng->NextBelow(3)),
+        Schema({{"k", ValueType::kInt}, {"v", ValueType::kString}}));
+  };
   const std::vector<std::string> rels = db.RelationNames();
+  if (rels.empty()) {
+    create();
+    return;
+  }
   const std::string rel = rels[rng->NextBelow(rels.size())];
   const WsdRelation* r = db.GetRelation(rel).value();
-  const uint64_t kind = rng->NextBelow(10);
+  const uint64_t kind = rng->NextBelow(14);
   if (kind < 5) {  // insert a fresh row, ~half its cells or-sets
     std::vector<CellSpec> cells;
     for (size_t c = 0; c < r->schema().size(); ++c) {
@@ -80,8 +123,14 @@ void AddRandomOp(Rng* rng, const WsdDb& db, DeltaBatch* batch) {
     const ComponentId cid = live[rng->NextBelow(live.size())];
     const size_t rows = db.component(cid).NumRows();
     batch->Reweight(cid, rng->NextProbabilities(static_cast<int>(rows)));
-  } else {  // repair on the first column (fails when it is uncertain)
+  } else if (kind < 10) {  // repair on the first column (fails if uncertain)
     batch->RepairKey(rel, {r->schema().attr(0).name});
+  } else if (kind < 12) {  // condition on a domain predicate
+    batch->Enforce(Constraint::Domain(rel, RandomPredicate(rng, *r)));
+  } else if (kind < 13) {
+    create();
+  } else {
+    batch->DropRelation(rel);
   }
 }
 

@@ -42,12 +42,15 @@ TEST(DeltaBatchTest, FluentConstructionAndToString) {
       .Reweight(3, {0.25, 0.75})
       .SetCell(3, 0, 0, Value::Int(9))
       .RepairKey("t", {"k"}, "w")
-      .Enforce(Constraint::Key("t", {"k"}, "pk"));
-  EXPECT_EQ(batch.size(), 6u);
+      .Enforce(Constraint::Key("t", {"k"}, "pk"))
+      .CreateRelation("u", Schema({{"a", ValueType::kInt}}))
+      .DropRelation("u");
+  EXPECT_EQ(batch.size(), 8u);
   EXPECT_FALSE(batch.empty());
   const std::string text = batch.ToString();
   for (const char* line : {"insert t", "evict t oldest 2", "reweight c3",
-                           "setcell c3[0,0] = 9", "repair key t", "enforce"}) {
+                           "setcell c3[0,0] = 9", "repair key t", "enforce",
+                           "create u (a INT)", "drop u"}) {
     EXPECT_NE(text.find(line), std::string::npos) << line << "\n" << text;
   }
 }
@@ -62,7 +65,12 @@ TEST(DeltaBatchTest, SerializeRoundTripIsLossless) {
       .SetCell(7, 3, 1, Value::Double(2.5))
       .RepairKey("t", {"k", "v"}, "w")
       .Enforce(Constraint::FunctionalDependency("t", {"k"}, {"v"}, "fd"))
-      .Enforce(Constraint::Key("t", {"k"}, "pk"));
+      .Enforce(Constraint::Key("t", {"k"}, "pk"))
+      .CreateRelation("u", Schema({{"a", ValueType::kInt},
+                                   {"b", ValueType::kString},
+                                   {"c", ValueType::kDouble},
+                                   {"d", ValueType::kBool}}))
+      .DropRelation("u");
 
   auto payload = batch.Serialize();
   MAYBMS_ASSERT_OK(payload.status());
@@ -76,13 +84,61 @@ TEST(DeltaBatchTest, SerializeRoundTripIsLossless) {
   EXPECT_EQ(parsed->ToString(), batch.ToString());
 }
 
-TEST(DeltaBatchTest, SerializeRejectsDomainConstraintsAndPendingCells) {
+// A predicate using all nine expression kinds.
+ExprPtr EveryKindPredicate() {
+  // (k * 2 + 1 >= 3 AND NOT (v IS NOT NULL)) OR k IN (1, 'x', NULL)
+  //   OR col#1 < 2.5
+  ExprPtr arith = Expr::Arith(
+      ArithOp::kAdd,
+      Expr::Arith(ArithOp::kMul, Expr::Column("k"), Expr::Const(Value::Int(2))),
+      Expr::Const(Value::Int(1)));
+  ExprPtr lhs = Expr::And(
+      Expr::Compare(CompareOp::kGe, arith, Expr::Const(Value::Int(3))),
+      Expr::Not(Expr::IsNull(Expr::Column("v"), /*negated=*/true)));
+  ExprPtr in = Expr::In(Expr::Column("k"),
+                        {Value::Int(1), Value::String("x"), Value::Null()});
+  ExprPtr bound = Expr::Compare(CompareOp::kLt, Expr::ColumnIdx(1, "v"),
+                                Expr::Const(Value::Double(2.5)));
+  return Expr::Or(Expr::Or(lhs, in), bound);
+}
+
+TEST(DeltaBatchTest, DomainConstraintsRoundTripAndPendingCellsAreRejected) {
   DeltaBatch domain;
   domain.Enforce(Constraint::Domain(
       "t", Expr::Compare(CompareOp::kLt, Expr::Column("k"),
                          Expr::Const(Value::Int(3))),
       "small"));
-  EXPECT_EQ(domain.Serialize().status().code(), StatusCode::kInvalidArgument);
+  domain.Enforce(Constraint::Domain("t", EveryKindPredicate(), "every"));
+  auto payload = domain.Serialize();
+  MAYBMS_ASSERT_OK(payload.status());
+  auto parsed = DeltaBatch::Deserialize(*payload);
+  MAYBMS_ASSERT_OK(parsed.status());
+  auto again = parsed->Serialize();
+  MAYBMS_ASSERT_OK(again.status());
+  EXPECT_EQ(*again, *payload);
+  EXPECT_EQ(parsed->ToString(), domain.ToString());
+
+  // The decoded predicate conditions exactly like the original.
+  DeltaBatch fill;
+  for (int64_t k = 0; k < 5; ++k) fill.Insert("t", UncertainRow(k));
+  WsdDb a = TwoColumnDb();
+  MAYBMS_ASSERT_OK(a.ApplyDelta(fill).status());
+  WsdDb b(a);
+  DeltaBatch cond;  // v <> 'a' OR k < 1
+  cond.Enforce(Constraint::Domain(
+      "t", Expr::Or(Expr::Compare(CompareOp::kNe, Expr::Column("v"),
+                                  Expr::Const(Value::String("a"))),
+                    Expr::Compare(CompareOp::kLt, Expr::Column("k"),
+                                  Expr::Const(Value::Int(1))))));
+  auto cond_payload = cond.Serialize();
+  MAYBMS_ASSERT_OK(cond_payload.status());
+  auto cond_parsed = DeltaBatch::Deserialize(*cond_payload);
+  MAYBMS_ASSERT_OK(cond_parsed.status());
+  auto effects = a.ApplyDelta(cond);
+  MAYBMS_ASSERT_OK(effects.status());
+  EXPECT_GT(effects->enforce_rows_removed, 0u);
+  MAYBMS_ASSERT_OK(b.ApplyDelta(*cond_parsed).status());
+  testing_util::ExpectDbsExactlyEqual(a, b);
 
   DeltaBatch pending;
   pending.Insert("t", {CellSpec::Pending(), CellSpec::Certain(Value::Int(1))});
@@ -91,6 +147,35 @@ TEST(DeltaBatchTest, SerializeRejectsDomainConstraintsAndPendingCells) {
   WsdDb db = TwoColumnDb();
   EXPECT_EQ(db.ApplyDelta(pending).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(DeltaBatchTest, ExpressionNestingIsBoundedOnBothSides) {
+  ExprPtr deep = Expr::Column("k");
+  for (int i = 0; i < 600; ++i) deep = Expr::Not(deep);
+  DeltaBatch batch;
+  batch.Enforce(Constraint::Domain("t", deep));
+  EXPECT_EQ(batch.Serialize().status().code(), StatusCode::kInvalidArgument);
+
+  // A payload claiming the same depth fails to decode instead of
+  // recursing without bound: splice 600 NOT nodes in front of the
+  // column node where a single NOT's encoding first differs.
+  DeltaBatch column;
+  column.Enforce(Constraint::Domain("t", Expr::Column("k")));
+  DeltaBatch negated;
+  negated.Enforce(Constraint::Domain("t", Expr::Not(Expr::Column("k"))));
+  auto plain = column.Serialize();
+  auto with_not = negated.Serialize();
+  MAYBMS_ASSERT_OK(plain.status());
+  MAYBMS_ASSERT_OK(with_not.status());
+  size_t at = 0;
+  while ((*plain)[at] == (*with_not)[at]) ++at;
+  std::string one = *plain;
+  one.insert(at, 1, (*with_not)[at]);
+  ASSERT_EQ(one, *with_not);  // the splice point is the node boundary
+  std::string crafted = *plain;
+  crafted.insert(at, 600, (*with_not)[at]);
+  EXPECT_EQ(DeltaBatch::Deserialize(crafted).status().code(),
+            StatusCode::kParseError);
 }
 
 TEST(DeltaBatchTest, DeserializeRejectsGarbage) {
@@ -338,11 +423,8 @@ TEST(SessionDeltaTest, UnserializableBatchFailsBeforeApplying) {
 
   DeltaBatch batch;
   batch.Insert("t", UncertainRow(1));
-  batch.Enforce(Constraint::Domain(
-      "t", Expr::Compare(CompareOp::kLt, Expr::Column("k"),
-                         Expr::Const(Value::Int(3))),
-      "small"));
-  EXPECT_FALSE(s.ApplyDelta(batch).ok());
+  batch.Insert("t", {CellSpec::Pending(), CellSpec::Certain(Value::Int(1))});
+  EXPECT_EQ(s.ApplyDelta(batch).status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(s.wal_record_count(), 0u);
   EXPECT_EQ((*s.db().GetRelation("t"))->NumTuples(), 0u);
 }

@@ -1,14 +1,18 @@
 // Session-level durability tests: WAL attachment on SAVE/LOAD, the
-// log-before-apply ordering, recovery replay (eager and mapped),
+// log-before-apply ordering, recovery replay (eager and mapped), the
+// replay-failure rules and the legacy statement-log upgrade,
 // CHECKPOINT and the auto-checkpoint threshold, stale-log discard, and
 // clean failure of LOAD DATABASE ... MAPPED / EnsureResident under
 // injected I/O faults. Everything runs on the FaultInjectingEnv, so no
 // real files are touched.
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/string_util.h"
+#include "core/delta.h"
 #include "sql/session.h"
 #include "storage/io_env.h"
 #include "storage/wal.h"
@@ -49,17 +53,21 @@ TEST(DurabilityTest, SaveAttachesWalAndLogsMutations) {
   MAYBMS_ASSERT_OK(s.Execute("SELECT x FROM t").status());
   EXPECT_EQ(s.wal_record_count(), 1u);
 
+  // The statement reached the log as its delta batch, not as SQL text.
   auto contents = wal::ReadWal(&env, "db.wal");
   MAYBMS_ASSERT_OK(contents.status());
   ASSERT_EQ(contents->records.size(), 1u);
-  EXPECT_EQ(contents->records[0].payload, "INSERT INTO t VALUES (7, 1.0)");
+  EXPECT_EQ(contents->records[0].type, wal::RecordType::kDelta);
+  auto batch = DeltaBatch::Deserialize(contents->records[0].payload);
+  MAYBMS_ASSERT_OK(batch.status());
+  EXPECT_EQ(batch->ToString(), "insert t (2 cells)\n");
 }
 
 TEST(DurabilityTest, WalDisabledNeverAttaches) {
   FaultInjectingEnv env;
   Session s;
   s.set_env(&env);
-  s.mutable_durability_options().wal_enabled = false;
+  s.mutable_options().durability.wal_enabled = false;
   Populate(&s);
   MAYBMS_ASSERT_OK(s.Execute("SAVE DATABASE 'db'").status());
   EXPECT_FALSE(s.has_durable_attachment());
@@ -161,7 +169,7 @@ TEST(DurabilityTest, AutoCheckpointKeepsTheLogShort) {
   FaultInjectingEnv env;
   Session s;
   s.set_env(&env);
-  s.mutable_durability_options().auto_checkpoint_records = 2;
+  s.mutable_options().durability.auto_checkpoint_records = 2;
   Populate(&s);
   MAYBMS_ASSERT_OK(s.Execute("SAVE DATABASE 'db'").status());
   MAYBMS_ASSERT_OK(s.Execute("INSERT INTO t VALUES (7, 1.0)").status());
@@ -190,7 +198,7 @@ TEST(DurabilityTest, StaleLogFromOlderSnapshotIsDiscarded) {
   other.set_env(&env);
   MAYBMS_ASSERT_OK(
       other.Execute("CREATE TABLE u (y STRING)").status());
-  other.mutable_durability_options().wal_enabled = false;
+  other.mutable_options().durability.wal_enabled = false;
   MAYBMS_ASSERT_OK(other.Execute("SAVE DATABASE 'db'").status());
 
   Session b;
@@ -219,21 +227,266 @@ TEST(DurabilityTest, LogBeforeApplyFailedAppendLeavesMemoryUntouched) {
   env.Recover(&rng);
 }
 
-TEST(DurabilityTest, ExecuteParsedWithoutSourceTextIsRejectedWhenAttached) {
+TEST(DurabilityTest, HandBuiltStatementLogsAndRecovers) {
   FaultInjectingEnv env;
   Session s;
   s.set_env(&env);
   Populate(&s);
   MAYBMS_ASSERT_OK(s.Execute("SAVE DATABASE 'db'").status());
-  // A hand-built statement has no SQL text to log; accepting it would
-  // create an un-replayable hole in the WAL.
+  // A statement built without the parser logs like any other: the log
+  // holds the delta it applies, not the statement's text.
   Statement stmt;
   stmt.kind = Statement::Kind::kDropTable;
   stmt.drop_table = DropTableStmt{};
   stmt.drop_table->name = "t";
-  auto r = s.ExecuteParsed(stmt);
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(s.db().HasRelation("t"));
+  MAYBMS_ASSERT_OK(s.ExecuteParsed(stmt).status());
+  EXPECT_FALSE(s.db().HasRelation("t"));
+  EXPECT_EQ(s.wal_record_count(), 1u);
+
+  Session b;
+  b.set_env(&env);
+  MAYBMS_ASSERT_OK(b.Execute("LOAD DATABASE 'db'").status());
+  EXPECT_FALSE(b.db().HasRelation("t"));
+  testing_util::ExpectDbsExactlyEqual(s.db(), b.db());
+}
+
+TEST(DurabilityTest, LogRecoversIdenticallyUnderDefaultSettings) {
+  // Settings are session-local and never logged; replay applies the
+  // logged deltas, so a recovering session with default settings must
+  // land on the byte-identical database.
+  FaultInjectingEnv env;
+  Session a;
+  a.set_env(&env);
+  MAYBMS_ASSERT_OK(
+      a.ExecuteScript("SET optimizer.enable = false;"
+                      "SET conf.num_threads = 3;"
+                      "SET exec.num_threads = 2;"
+                      "SET approx.num_threads = 2;"
+                      "SET approx.seed = 99;"
+                      "SET materialize_conf = false;")
+          .status());
+  Populate(&a);
+  MAYBMS_ASSERT_OK(a.Execute("SAVE DATABASE 'db'").status());
+  // Every logged op kind, and a CHECK using every expression kind.
+  MAYBMS_ASSERT_OK(
+      a.ExecuteScript("CREATE TABLE d (x INT, w DOUBLE);"
+                      "INSERT INTO d VALUES (1, 1.0), (1, 3.0), (2, 1.0);"
+                      "REPAIR KEY (x) IN d WEIGHT BY w;"
+                      "INSERT INTO t VALUES ({4: 0.5, 5: 0.5}, 1.0);"
+                      "ENFORCE CHECK (x * 2 <> 10 AND NOT (w IS NULL) "
+                      "OR x IN (1, 2)) ON t;"
+                      "ENFORCE KEY (x) ON d;"
+                      "DELETE FROM t OLDEST 1;"
+                      "CREATE TABLE gone (y STRING);"
+                      "DROP TABLE gone;")
+          .status());
+  EXPECT_EQ(a.wal_record_count(), 9u);
+
+  Session b;
+  b.set_env(&env);
+  MAYBMS_ASSERT_OK(b.Execute("LOAD DATABASE 'db'").status());
+  testing_util::ExpectDbsExactlyEqual(a.db(), b.db());
+}
+
+// Appends one raw record to the log of snapshot 'db', as a writer that
+// crashed (or an older build) would have left it.
+void AppendRawRecord(Env* env, wal::RecordType type,
+                     const std::string& payload) {
+  auto contents = wal::ReadWal(env, "db.wal");
+  MAYBMS_ASSERT_OK(contents.status());
+  auto writer = wal::WalWriter::OpenForAppend(env, "db.wal", *contents);
+  MAYBMS_ASSERT_OK(writer.status());
+  MAYBMS_ASSERT_OK(writer->Append(type, payload).status());
+}
+
+std::string SerializedBatch(const DeltaBatch& batch) {
+  auto payload = batch.Serialize();
+  EXPECT_TRUE(payload.ok()) << payload.status().ToString();
+  return payload.ok() ? *payload : std::string();
+}
+
+// A saved 't' plus one logged INSERT (LSN 1).
+void SaveWithOneLoggedInsert(Env* env) {
+  Session a;
+  a.set_env(env);
+  Populate(&a);
+  MAYBMS_ASSERT_OK(a.Execute("SAVE DATABASE 'db'").status());
+  MAYBMS_ASSERT_OK(a.Execute("INSERT INTO t VALUES (7, 1.0)").status());
+}
+
+// LOAD (eager and mapped) of a log that must be refused: fails naming
+// `lsn` and leaves the loading session's catalog as it was.
+void ExpectLoadRefused(Env* env, uint64_t lsn) {
+  const std::string at_lsn =
+      StrFormat("LSN %llu", static_cast<unsigned long long>(lsn));
+  for (const char* load : {"LOAD DATABASE 'db'", "LOAD DATABASE 'db' MAPPED"}) {
+    Session b;
+    b.set_env(env);
+    MAYBMS_ASSERT_OK(b.Execute("CREATE TABLE keepme (x INT)").status());
+    const WsdDb before = b.db();
+    auto loaded = b.Execute(load);
+    ASSERT_FALSE(loaded.ok()) << load;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError) << load;
+    EXPECT_NE(loaded.status().message().find(at_lsn), std::string::npos)
+        << load << ": " << loaded.status().ToString();
+    EXPECT_TRUE(testing_util::DbsExactlyEqual(before, b.db())) << load;
+    EXPECT_FALSE(b.is_mapped());
+    EXPECT_FALSE(b.has_durable_attachment());
+  }
+}
+
+TEST(DurabilityTest, UndecodableRecordFailsLoadNamingItsLsn) {
+  FaultInjectingEnv env;
+  SaveWithOneLoggedInsert(&env);
+  // Checksum-valid framing around a payload that is no delta batch.
+  AppendRawRecord(&env, wal::RecordType::kDelta, "not a delta batch");
+  ExpectLoadRefused(&env, 2);
+}
+
+TEST(DurabilityTest, FailingRecordInsideTheLogFailsLoadNamingItsLsn) {
+  FaultInjectingEnv env;
+  SaveWithOneLoggedInsert(&env);
+  DeltaBatch missing;
+  missing.Insert("nope", {CellSpec::Certain(Value::Int(1))});
+  AppendRawRecord(&env, wal::RecordType::kDelta, SerializedBatch(missing));
+  DeltaBatch fine;
+  fine.EvictOldest("t", 1);
+  AppendRawRecord(&env, wal::RecordType::kDelta, SerializedBatch(fine));
+  ExpectLoadRefused(&env, 2);
+}
+
+TEST(DurabilityTest, FailingLastRecordKeepsItsPartialEffectAndIsFolded) {
+  // The one place a failing record can survive: a crash between its
+  // append and the checkpoint that follows a failed apply.
+  FaultInjectingEnv env;
+  SaveWithOneLoggedInsert(&env);
+  DeltaBatch half;
+  half.Insert("t", {CellSpec::Certain(Value::Int(8)),
+                    CellSpec::Certain(Value::Double(1.0))})
+      .Insert("nope", {CellSpec::Certain(Value::Int(1))});
+  AppendRawRecord(&env, wal::RecordType::kDelta, SerializedBatch(half));
+
+  Session b;
+  b.set_env(&env);
+  auto loaded = b.Execute("LOAD DATABASE 'db'");
+  MAYBMS_ASSERT_OK(loaded.status());
+  EXPECT_NE(loaded->message.find("recovered 2 statement(s)"),
+            std::string::npos);
+  EXPECT_EQ((*b.db().GetRelation("t"))->NumTuples(), 4u);  // 2 + 7 + 8
+  // Folded at once, so the next record cannot land behind it.
+  EXPECT_EQ(b.wal_record_count(), 0u);
+  MAYBMS_ASSERT_OK(b.Execute("INSERT INTO t VALUES (9, 1.0)").status());
+
+  Session c;
+  c.set_env(&env);
+  MAYBMS_ASSERT_OK(c.Execute("LOAD DATABASE 'db'").status());
+  testing_util::ExpectDbsExactlyEqual(b.db(), c.db());
+}
+
+TEST(DurabilityTest, InsertFailingOnItsSecondRowIsCheckpointedAtOnce) {
+  FaultInjectingEnv env;
+  Session s;
+  s.set_env(&env);
+  Populate(&s);
+  MAYBMS_ASSERT_OK(s.Execute("SAVE DATABASE 'db'").status());
+  // Row 1 applies, row 2 is a type error: the logged batch half-applies.
+  auto r = s.Execute("INSERT INTO t VALUES (7, 1.0), ('seven', 1.0)");
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ((*s.db().GetRelation("t"))->NumTuples(), 3u);
+  EXPECT_EQ(s.wal_record_count(), 0u);
+
+  Session b;
+  b.set_env(&env);
+  auto loaded = b.Execute("LOAD DATABASE 'db'");
+  MAYBMS_ASSERT_OK(loaded.status());
+  EXPECT_EQ(loaded->message.find("recovered"), std::string::npos);
+  testing_util::ExpectDbsExactlyEqual(s.db(), b.db());
+}
+
+TEST(DurabilityTest, FailedCheckpointAfterFailedApplyDetachesTheLog) {
+  FaultInjectingEnv env;
+  Session s;
+  s.set_env(&env);
+  Populate(&s);
+  MAYBMS_ASSERT_OK(s.Execute("SAVE DATABASE 'db'").status());
+  // How many I/O operations one logged append takes.
+  const uint64_t before = env.op_count();
+  MAYBMS_ASSERT_OK(s.Execute("INSERT INTO t VALUES (7, 1.0)").status());
+  const uint64_t append_ops = env.op_count() - before;
+
+  // Fail the first operation after the next append: the checkpoint that
+  // must fold the half-applied batch away.
+  FaultPlan plan;
+  plan.fail_at_op = static_cast<int64_t>(env.op_count() + append_ops);
+  env.set_plan(plan);
+  EXPECT_FALSE(s.Execute("INSERT INTO t VALUES (8, 1.0), ('x', 1.0)").ok());
+  env.set_plan(FaultPlan{});
+  EXPECT_TRUE(s.has_durable_attachment());
+  // Nothing more is acknowledged until a checkpoint succeeds.
+  const WsdDb detached = s.db();
+  EXPECT_EQ(s.Execute("INSERT INTO t VALUES (9, 1.0)").status().code(),
+            StatusCode::kUnavailable);
+  EXPECT_TRUE(testing_util::DbsExactlyEqual(detached, s.db()));
+  MAYBMS_ASSERT_OK(s.Execute("CHECKPOINT").status());
+  MAYBMS_ASSERT_OK(s.Execute("INSERT INTO t VALUES (9, 1.0)").status());
+
+  Session b;
+  b.set_env(&env);
+  MAYBMS_ASSERT_OK(b.Execute("LOAD DATABASE 'db'").status());
+  testing_util::ExpectDbsExactlyEqual(s.db(), b.db());
+}
+
+TEST(DurabilityTest, LegacyStatementLogIsReplayedOnceAndCheckpointed) {
+  // Older builds logged SQL text (kStatement), including statements that
+  // then failed; LOAD replays such a log once, tolerating those
+  // failures, and folds it into the snapshot.
+  FaultInjectingEnv env;
+  {
+    Session a;
+    a.set_env(&env);
+    Populate(&a);
+    MAYBMS_ASSERT_OK(a.Execute("SAVE DATABASE 'db'").status());
+  }
+  const std::vector<std::string> legacy = {
+      "INSERT INTO t VALUES (7, 1.0)",
+      "INSERT INTO nope VALUES (1)",  // failed when first executed
+      "ENFORCE CHECK (x < 7) ON t",
+  };
+  for (const std::string& sql : legacy) {
+    AppendRawRecord(&env, wal::RecordType::kStatement, sql);
+  }
+  DeltaBatch evict;
+  evict.EvictOldest("t", 1);
+  AppendRawRecord(&env, wal::RecordType::kDelta, SerializedBatch(evict));
+
+  // The expected state: the same mutations on a non-durable session.
+  Session expected;
+  Populate(&expected);
+  for (const std::string& sql : legacy) (void)expected.Execute(sql);
+  MAYBMS_ASSERT_OK(expected.ApplyDelta(evict).status());
+
+  Session b;
+  b.set_env(&env);
+  auto loaded = b.Execute("LOAD DATABASE 'db'");
+  MAYBMS_ASSERT_OK(loaded.status());
+  EXPECT_NE(loaded->message.find("recovered 4 statement(s)"),
+            std::string::npos);
+  testing_util::ExpectDbsExactlyEqual(expected.db(), b.db());
+  EXPECT_EQ(b.wal_record_count(), 0u);
+  auto contents = wal::ReadWal(&env, "db.wal");
+  MAYBMS_ASSERT_OK(contents.status());
+  EXPECT_TRUE(contents->records.empty());
+
+  // New mutations log as deltas only; a reload needs no upgrade.
+  MAYBMS_ASSERT_OK(b.Execute("INSERT INTO t VALUES (1, 1.0)").status());
+  contents = wal::ReadWal(&env, "db.wal");
+  MAYBMS_ASSERT_OK(contents.status());
+  ASSERT_EQ(contents->records.size(), 1u);
+  EXPECT_EQ(contents->records[0].type, wal::RecordType::kDelta);
+  Session c;
+  c.set_env(&env);
+  MAYBMS_ASSERT_OK(c.Execute("LOAD DATABASE 'db'").status());
+  testing_util::ExpectDbsExactlyEqual(b.db(), c.db());
 }
 
 // Satellite: LOAD DATABASE ... MAPPED under injected I/O failures must
@@ -278,7 +531,7 @@ TEST(DurabilityTest, EnsureResidentSurfacesCorruptShardCleanly) {
   {
     Session writer;
     writer.set_env(&env);
-    writer.mutable_durability_options().wal_enabled = false;
+    writer.mutable_options().durability.wal_enabled = false;
     Populate(&writer);
     MAYBMS_ASSERT_OK(writer.Execute("SAVE DATABASE 'db'").status());
   }
@@ -291,7 +544,7 @@ TEST(DurabilityTest, EnsureResidentSurfacesCorruptShardCleanly) {
 
   Session s;
   s.set_env(&env);
-  s.mutable_durability_options().wal_enabled = false;
+  s.mutable_options().durability.wal_enabled = false;
   MAYBMS_ASSERT_OK(s.Execute("LOAD DATABASE 'db' MAPPED").status());
   ASSERT_TRUE(s.is_mapped());
   // The INSERT forces residency; materialization hits the bad checksum.

@@ -129,7 +129,10 @@ TEST_F(MiniCensusPipeline, ConfMatchesSampling) {
   ASSERT_TRUE(answer.ok());
   auto exact = ConfTable(*answer, "result");
   ASSERT_TRUE(exact.ok());
-  auto approx = ApproximateConfTable(*answer, "result", 4000, 7);
+  SampleConfOptions opts;
+  opts.samples = 4000;
+  opts.seed = 7;
+  auto approx = EstimateConfidenceBySampling(*answer, "result", opts);
   ASSERT_TRUE(approx.ok());
   std::map<std::string, double> approx_map;
   for (const auto& row : approx->rows()) {

@@ -53,7 +53,10 @@ TEST(SampleTest, ApproximateConfCloseToExact) {
   WsdDb db = MedicalExample();
   auto exact = ConfTable(db, "R");
   ASSERT_TRUE(exact.ok());
-  auto approx = ApproximateConfTable(db, "R", 20000, /*seed=*/11);
+  SampleConfOptions opts;
+  opts.samples = 20000;
+  opts.seed = 11;
+  auto approx = EstimateConfidenceBySampling(db, "R", opts);
   ASSERT_TRUE(approx.ok());
   // Compare per vector.
   std::map<std::string, double> exact_map, approx_map;
@@ -142,9 +145,13 @@ TEST(SampleTest, StreamingSamplerDeterministicAcrossThreads) {
 
 TEST(SampleTest, ApproximateConfValidatesInput) {
   WsdDb db = MedicalExample();
-  EXPECT_EQ(ApproximateConfTable(db, "R", 0).status().code(),
+  SampleConfOptions none;
+  none.samples = 0;
+  EXPECT_EQ(EstimateConfidenceBySampling(db, "R", none).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(ApproximateConfTable(db, "nope", 10).status().code(),
+  SampleConfOptions ten;
+  ten.samples = 10;
+  EXPECT_EQ(EstimateConfidenceBySampling(db, "nope", ten).status().code(),
             StatusCode::kNotFound);
 }
 

@@ -104,7 +104,7 @@ std::vector<std::string> RandomWorkload(Rng* rng) {
 Session MakeSession(Env* env, size_t auto_checkpoint) {
   Session s;
   s.set_env(env);
-  s.mutable_durability_options().auto_checkpoint_records = auto_checkpoint;
+  s.mutable_options().durability.auto_checkpoint_records = auto_checkpoint;
   return s;
 }
 
