@@ -19,10 +19,20 @@
 //
 // Both answers must be bit-identical (MAYBMS_CHECK on the rendered
 // tables; ESUM is compared as exact doubles), and at window >= 512 the
-// incremental path must be at least 5x faster — the gate this PR's
-// maintenance machinery exists to pass. Emits BENCH_streaming.json:
-// sustained ingest ns/event and per-query latency of both paths,
-// regression-gated by scripts/bench_compare.py.
+// incremental path must be at least 5x faster — the gate the
+// maintenance machinery exists to pass.
+//
+// A second section times window retirement alone: one
+// WsdDb::ApplyDelta(EvictOldest 16) at windows of 1,024 and 16,384
+// readings (fixed sizes at every scale), median over ticks that each
+// first insert 16 fresh readings. Eviction visits only the evicted
+// tuples and their candidate components, so the two figures should be
+// close; the stored component-id span at the end shows that retired ids
+// are not kept.
+//
+// Emits BENCH_streaming.json: sustained ingest ns/event, per-query
+// latency of both paths, and the eviction figures, regression-gated by
+// scripts/bench_compare.py.
 #include <algorithm>
 #include <random>
 #include <string>
@@ -65,6 +75,44 @@ std::vector<CellSpec> MakeReading(std::mt19937_64* rng) {
   return {CellSpec::Certain(Value::Int(static_cast<int64_t>(site(*rng)))),
           or_set([](size_t i) { return Value::String(kConditions[i]); }, 3),
           or_set([](size_t i) { return Value::Int(kTemps[i]); }, 4)};
+}
+
+struct EvictTiming {
+  double median_ns = 0.0;
+  size_t slot_count = 0;
+  size_t span = 0;
+};
+
+/// Median time of ApplyDelta(EvictOldest 16) on a `window`-reading
+/// sliding window, over kEvictTicks ticks.
+EvictTiming TimeEviction(size_t window, std::mt19937_64* rng) {
+  constexpr size_t kEvicted = 16;
+  constexpr int kEvictTicks = 64;
+  WsdDb db;
+  MAYBMS_CHECK(db.CreateRelation("readings",
+                                 Schema({{"site", ValueType::kInt},
+                                         {"cond", ValueType::kString},
+                                         {"temp", ValueType::kInt}}))
+                   .ok());
+  DeltaBatch fill;
+  for (size_t i = 0; i < window; ++i) fill.Insert("readings", MakeReading(rng));
+  MAYBMS_CHECK(db.ApplyDelta(fill).ok());
+  std::vector<double> ns;
+  for (int tick = 0; tick < kEvictTicks; ++tick) {
+    DeltaBatch insert;
+    for (size_t i = 0; i < kEvicted; ++i) {
+      insert.Insert("readings", MakeReading(rng));
+    }
+    MAYBMS_CHECK(db.ApplyDelta(insert).ok());
+    DeltaBatch evict;
+    evict.EvictOldest("readings", kEvicted);
+    Timer t;
+    auto effects = db.ApplyDelta(evict);
+    ns.push_back(t.Seconds() * 1e9);
+    MAYBMS_CHECK(effects.ok() && effects->tuples_evicted == kEvicted);
+  }
+  std::sort(ns.begin(), ns.end());
+  return {ns[ns.size() / 2], db.component_slot_count(), db.component_span()};
 }
 
 }  // namespace
@@ -178,6 +226,17 @@ int main() {
   table.AddRow({"ESUM speedup", StrFormat("%.1fx", esum_speedup)});
   table.AddRow({"cache hits/misses", std::to_string(cache.hits) + "/" +
                                          std::to_string(cache.misses)});
+
+  const EvictTiming small = TimeEviction(1024, &rng);
+  const EvictTiming large = TimeEviction(16384, &rng);
+  table.AddRow({"evict 16 @ window 1024",
+                StrFormat("%.1f us", small.median_ns / 1e3)});
+  table.AddRow({"evict 16 @ window 16384",
+                StrFormat("%.1f us", large.median_ns / 1e3)});
+  table.AddRow({"component ids allocated @ 16384",
+                std::to_string(large.slot_count)});
+  table.AddRow({"component id span stored @ 16384",
+                std::to_string(large.span)});
   table.Print();
 
   BenchJson json("streaming");
@@ -187,5 +246,11 @@ int main() {
   json.Add("streaming_conf_full_ns", full_s * per_query * 1e9);
   json.Add("streaming_esum_incremental_ns", esum_incr_s * per_query * 1e9,
            esum_speedup);
+  json.Add("streaming_evict16_window1024_ns", small.median_ns);
+  json.Add("streaming_evict16_window16384_ns", large.median_ns);
+  // A count, not a time: gated the same way, so a leak of retired ids
+  // back into the store fails the regression gate.
+  json.Add("streaming_evict_window16384_component_span",
+           static_cast<double>(large.span));
   return 0;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 #include <utility>
 
 #include "chase/enforce.h"
@@ -550,65 +549,6 @@ Status ApplyInsert(WsdDb* db, const DeltaBatch::InsertOp& op) {
   return InsertTuple(db, op.relation, op.cells).status();
 }
 
-Status ApplyEvict(WsdDb* db, const DeltaBatch::EvictOp& op,
-                  size_t* tuples_evicted) {
-  MAYBMS_ASSIGN_OR_RETURN(WsdRelation * rel,
-                          db->GetMutableRelation(op.relation));
-  const size_t n = std::min(op.count, rel->NumTuples());
-  if (n == 0) return Status::OK();
-
-  // Candidate components for GC: those the evicted prefix references by
-  // cell, plus those with a slot owned by an evicted dep (pure existence
-  // components have no cell references).
-  std::unordered_set<ComponentId> candidates;
-  std::unordered_set<OwnerId> evicted_owners;
-  {
-    std::vector<WsdTuple>& tuples = rel->mutable_tuples();
-    for (size_t i = 0; i < n; ++i) {
-      for (const Cell& c : tuples[i].cells) {
-        if (c.is_ref()) candidates.insert(c.ref().cid);
-      }
-      for (OwnerId o : tuples[i].deps) evicted_owners.insert(o);
-    }
-    tuples.erase(tuples.begin(), tuples.begin() + static_cast<ptrdiff_t>(n));
-  }
-  for (ComponentId id : db->LiveComponents()) {
-    if (candidates.count(id)) continue;
-    for (const Slot& s : db->component(id).slots()) {
-      if (evicted_owners.count(s.owner)) {
-        candidates.insert(id);
-        break;
-      }
-    }
-  }
-
-  // A candidate survives when some remaining tuple (of any relation)
-  // still references it or is gated by one of its owners.
-  std::unordered_set<ComponentId> referenced;
-  std::unordered_set<OwnerId> live_owners;
-  for (const auto& [key, r] : db->relations()) {
-    for (const WsdTuple& t : r.tuples()) {
-      for (const Cell& c : t.cells) {
-        if (c.is_ref()) referenced.insert(c.ref().cid);
-      }
-      for (OwnerId o : t.deps) live_owners.insert(o);
-    }
-  }
-  for (ComponentId id : candidates) {
-    if (!db->IsLive(id) || referenced.count(id)) continue;
-    bool gates_survivor = false;
-    for (const Slot& s : db->component(id).slots()) {
-      if (live_owners.count(s.owner)) {
-        gates_survivor = true;
-        break;
-      }
-    }
-    if (!gates_survivor) db->RemoveComponent(id);
-  }
-  *tuples_evicted += n;
-  return Status::OK();
-}
-
 Status ApplyReweight(WsdDb* db, const DeltaBatch::ReweightOp& op) {
   if (!db->IsLive(op.cid)) {
     return Status::InvalidArgument(
@@ -655,6 +595,72 @@ Status ApplySetCell(WsdDb* db, const DeltaBatch::SetCellOp& op) {
 
 }  // namespace
 
+Status WsdDb::EvictOldest(const std::string& relation, size_t count,
+                          size_t* evicted) {
+  auto it = relations_.find(ToLower(relation));
+  if (it == relations_.end()) {
+    return Status::NotFound("relation not found: " + relation);
+  }
+  const size_t n = std::min(count, it->second.NumTuples());
+  if (n == 0) return Status::OK();
+  RefIndex& index = MutableRefIndex();
+  auto release = [](auto* counts, auto key) {
+    auto c = counts->find(key);
+    MAYBMS_DCHECK(c != counts->end());
+    if (--c->second == 0) counts->erase(c);
+  };
+
+  // Candidates for GC: the components the evicted prefix references by
+  // cell, plus those with a slot owned by an evicted dep (pure existence
+  // components have no cell references).
+  std::vector<ComponentId> candidates;
+  WsdRelation& rel = it->second;
+  for (size_t i = 0; i < n; ++i) {
+    const WsdTuple& t = rel.tuple(i);
+    for (const Cell& c : t.cells) {
+      if (!c.is_ref()) continue;
+      candidates.push_back(c.ref().cid);
+      release(&index.cell_refs, c.ref().cid);
+    }
+    for (OwnerId o : t.deps) {
+      auto owned = index.slot_comps.find(o);
+      if (owned != index.slot_comps.end()) {
+        candidates.insert(candidates.end(), owned->second.begin(),
+                          owned->second.end());
+      }
+      release(&index.gated, o);
+    }
+  }
+  rel.EraseOldest(n);
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
+
+  // A candidate survives when some remaining tuple (of any relation)
+  // still references it or is gated by one of its owners.
+  for (ComponentId id : candidates) {
+    if (!IsLive(id) || index.cell_refs.count(id)) continue;
+    const std::vector<Slot>& slots = component(id).slots();
+    const bool gates_survivor =
+        std::any_of(slots.begin(), slots.end(), [&](const Slot& s) {
+          return index.gated.count(s.owner) > 0;
+        });
+    if (gates_survivor) continue;
+    for (const Slot& s : slots) {
+      auto owned = index.slot_comps.find(s.owner);
+      if (owned == index.slot_comps.end()) continue;  // a repeat owner
+      std::vector<ComponentId>& comps = owned->second;
+      auto pos = std::find(comps.begin(), comps.end(), id);
+      if (pos == comps.end()) continue;  // likewise
+      comps.erase(pos);
+      if (comps.empty()) index.slot_comps.erase(owned);
+    }
+    RemoveComponent(id);
+  }
+  *evicted += n;
+  return Status::OK();
+}
+
 Result<DeltaEffects> WsdDb::ApplyDelta(const DeltaBatch& batch) {
   MAYBMS_CHECK(delta_scope_ == nullptr) << "nested ApplyDelta";
   DeltaScope scope;
@@ -670,18 +676,26 @@ Result<DeltaEffects> WsdDb::ApplyDelta(const DeltaBatch& batch) {
         [&](const auto& o) -> Status {
           using T = std::decay_t<decltype(o)>;
           if constexpr (std::is_same_v<T, DeltaBatch::InsertOp>) {
-            MAYBMS_RETURN_IF_ERROR(ApplyInsert(this, o));
+            const auto first_new =
+                static_cast<ComponentId>(component_slot_count());
+            const Status inserted = ApplyInsert(this, o);
+            if (!inserted.ok()) {
+              ref_index_.reset();  // may have left components behind
+              return inserted;
+            }
+            IndexInsert(o.relation, first_new);
             ++effects.tuples_inserted;
             touched_rels.push_back(ToLower(o.relation));
           } else if constexpr (std::is_same_v<T, DeltaBatch::EvictOp>) {
-            MAYBMS_RETURN_IF_ERROR(ApplyEvict(this, o,
-                                              &effects.tuples_evicted));
+            MAYBMS_RETURN_IF_ERROR(
+                EvictOldest(o.relation, o.count, &effects.tuples_evicted));
             touched_rels.push_back(ToLower(o.relation));
           } else if constexpr (std::is_same_v<T, DeltaBatch::ReweightOp>) {
             return ApplyReweight(this, o);
           } else if constexpr (std::is_same_v<T, DeltaBatch::SetCellOp>) {
             return ApplySetCell(this, o);
           } else if constexpr (std::is_same_v<T, DeltaBatch::RepairOp>) {
+            ref_index_.reset();
             MAYBMS_ASSIGN_OR_RETURN(
                 RepairKeyStats rs,
                 maybms::RepairKey(this, o.relation, o.key_attrs,
@@ -691,6 +705,7 @@ Result<DeltaEffects> WsdDb::ApplyDelta(const DeltaBatch& batch) {
             effects.repair_log2_worlds_added += rs.log2_worlds_added;
             touched_rels.push_back(ToLower(o.relation));
           } else if constexpr (std::is_same_v<T, DeltaBatch::EnforceOp>) {
+            ref_index_.reset();
             MAYBMS_ASSIGN_OR_RETURN(EnforceStats es,
                                     maybms::Enforce(this, o.constraint));
             effects.enforce_removed_mass += es.removed_mass;
@@ -700,10 +715,18 @@ Result<DeltaEffects> WsdDb::ApplyDelta(const DeltaBatch& batch) {
             MAYBMS_RETURN_IF_ERROR(CreateRelation(o.relation, o.schema));
             touched_rels.push_back(ToLower(o.relation));
           } else {
-            // A dropped relation has no caches left to invalidate; the
-            // components only it referenced stay, as unreferenced ones.
+            // Evicting every tuple first collects the components only
+            // the dropped relation used, under the eviction GC rule; an
+            // empty relation leaves the index unchanged.
             static_assert(std::is_same_v<T, DeltaBatch::DropOp>);
-            return DropRelation(o.relation);
+            auto it = relations_.find(ToLower(o.relation));
+            if (it == relations_.end()) {
+              return Status::NotFound("relation not found: " + o.relation);
+            }
+            size_t evicted = 0;
+            MAYBMS_RETURN_IF_ERROR(
+                EvictOldest(o.relation, it->second.NumTuples(), &evicted));
+            relations_.erase(it);
           }
           return Status::OK();
         },

@@ -17,8 +17,9 @@
 //     (wal::RecordType::kDelta, the only kind the engine writes);
 //     replaying the record re-applies the identical ops in the
 //     identical order, reproducing the same component ids and owner
-//     ids (AddComponent allocates densely from component_slot_count(),
-//     which snapshots persist).
+//     ids (AddComponent hands out the allocation point,
+//     component_slot_count(), and moves it up by one; ids are never
+//     reused, and snapshots persist the point).
 //   - *Deterministic partial failure.* Ops apply in order and stop at
 //     the first error; already-applied ops stay applied. Replay of the
 //     same batch against the same state therefore reproduces the same
@@ -55,7 +56,10 @@ class DeltaBatch {
 
   /// Removes the oldest `count` tuples of `relation` (the streaming
   /// window retirement primitive) and garbage-collects components that
-  /// no surviving tuple references or is gated by.
+  /// no surviving tuple references or is gated by. Visits only the
+  /// evicted tuples and their candidate components once the database's
+  /// reference index exists; the first eviction after an index-dropping
+  /// mutation rebuilds it in one pass (see WsdDb::RefIndex).
   DeltaBatch& EvictOldest(std::string relation, size_t count);
 
   /// Replaces the full probability vector of a live component (must
@@ -76,7 +80,9 @@ class DeltaBatch {
   /// Adds an empty relation (fails if the name is taken).
   DeltaBatch& CreateRelation(std::string relation, Schema schema);
 
-  /// Removes a relation from the catalog (fails if it is missing).
+  /// Removes a relation from the catalog (fails if it is missing) and
+  /// garbage-collects the components only it used, under the same rule
+  /// as EvictOldest.
   DeltaBatch& DropRelation(std::string relation);
 
   size_t size() const { return ops_.size(); }

@@ -159,13 +159,17 @@ Result<MappedWsdDb> MappedWsdDb::Open(const std::string& path,
   if (m.meta_.component_counter > 0) {
     // Validate the allocation counter against the directory once, so
     // Materialize can pad slot vectors without re-checking per call.
-    const uint64_t min_counter =
-        m.dir_.components.empty() ? 0 : m.dir_.components.back().id + 1;
-    if (m.meta_.component_counter < min_counter ||
-        m.meta_.component_counter > min_counter + sv3::kMaxComponentIdGaps) {
+    const std::vector<sv3::DirComponent>& comps = m.dir_.components;
+    const uint64_t min_counter = comps.empty() ? 0 : comps.back().id + 1;
+    if (m.meta_.component_counter < min_counter) {
       return Status::ParseError(
           StrFormat("snapshot component counter %llu out of range",
                     static_cast<unsigned long long>(m.meta_.component_counter)));
+    }
+    if (!comps.empty()) {
+      MAYBMS_RETURN_IF_ERROR(sv3::CheckIdGaps(
+          comps.front().id, static_cast<size_t>(m.meta_.component_counter),
+          comps.size()));
     }
   }
   m.comp_payload_ = sections[3].payload;
@@ -377,8 +381,8 @@ Result<WsdDb> MappedWsdDb::Materialize(
   db.mutable_options().rows_per_shard =
       static_cast<size_t>(meta_.rows_per_shard);
   // Components place at their original ids (kept tuples reference them);
-  // skipped ids become dead slots, covered by the same gap budget the
-  // directory was validated against.
+  // skipped ids are dead, and the holes between placed ones stay within
+  // the gap budget the directory was validated against.
   for (size_t k = 0; k < dir_.components.size(); ++k) {
     if (!comp_needed[k]) continue;
     MAYBMS_ASSIGN_OR_RETURN(std::shared_ptr<const Component> comp,

@@ -564,6 +564,17 @@ Status WriteWsdDbBinary(const WsdDb& db, std::ostream& out) {
 }
 
 Result<std::string> SerializeWsdDb(const WsdDb& db, SnapshotFormat format) {
+  // A snapshot no loader would accept is refused here, so a failed save
+  // or checkpoint keeps the last loadable snapshot and its log.
+  if (db.component_span() > 0) {
+    const Status loadable = snapshotv3::CheckIdGaps(
+        db.component_slot_count() - db.component_span(),
+        db.component_slot_count(), db.NumLiveComponents());
+    if (!loadable.ok()) {
+      return Status::ResourceExhausted("snapshot would not load: " +
+                                       loadable.message());
+    }
+  }
   std::ostringstream out;
   Status st;
   switch (format) {

@@ -33,21 +33,29 @@ std::pair<uint8_t, uint64_t> PackedToWire(const PackedValue& v,
   return {0, 0};
 }
 
-Status PlaceComponentAt(WsdDb* db, size_t id, size_t placed, Component c) {
-  if (id > placed + kMaxComponentIdGaps) {
+Status CheckIdGaps(size_t first, size_t end, size_t live) {
+  if (end - first > live + kMaxComponentIdGaps) {
     return Status::ParseError(
-        StrFormat("component id %zu implies more than %zu dead-id gaps",
-                  id, kMaxComponentIdGaps));
+        StrFormat("component id %zu implies more than %zu dead-id gaps "
+                  "above id %zu",
+                  end, kMaxComponentIdGaps, first));
   }
-  for (;;) {
-    ComponentId got = db->AddComponent(Component());
-    if (got == id) {
-      db->mutable_component(got) = std::move(c);
-      return Status::OK();
-    }
-    if (got > id) return Status::ParseError("component ids out of order");
-    db->RemoveComponent(got);  // filler for a gap in the id space
+  return Status::OK();
+}
+
+Status PlaceComponentAt(WsdDb* db, size_t id, size_t placed, Component c) {
+  if (id >= kInvalidComponent) {
+    return Status::ParseError(StrFormat("component id %zu out of range", id));
   }
+  if (id < db->component_slot_count()) {
+    return Status::ParseError("component ids out of order");
+  }
+  if (db->component_span() > 0) {
+    MAYBMS_RETURN_IF_ERROR(CheckIdGaps(
+        db->component_slot_count() - db->component_span(), id, placed));
+  }
+  db->PlaceComponent(static_cast<ComponentId>(id), std::move(c));
+  return Status::OK();
 }
 
 void AppendComponentRecord(const WsdDb& db, ComponentId id,
@@ -356,10 +364,8 @@ Result<SnapshotDirectory> ParseDirectory(std::string_view payload) {
     if (k > 0 && c.id <= dir.components.back().id) {
       return Status::ParseError("snapshot directory component ids not ascending");
     }
-    if (c.id > k + kMaxComponentIdGaps) {
-      return Status::ParseError(
-          StrFormat("component id %u implies more than %zu dead-id gaps",
-                    c.id, kMaxComponentIdGaps));
+    if (k > 0) {
+      MAYBMS_RETURN_IF_ERROR(CheckIdGaps(dir.components[0].id, c.id, k));
     }
     dir.components.push_back(c);
   }
@@ -640,13 +646,16 @@ Result<WsdDb> ReadWsdDbV3Body(std::istream& in) {
   // no payload, only the counter). Older snapshots have 0 here and keep
   // the "highest id present + 1" behavior.
   if (meta.component_counter > 0) {
-    if (meta.component_counter <
-            db.component_slot_count() ||
-        meta.component_counter >
-            db.component_slot_count() + kMaxComponentIdGaps) {
+    if (meta.component_counter < db.component_slot_count()) {
       return Status::ParseError(
           StrFormat("snapshot component counter %llu out of range",
                     static_cast<unsigned long long>(meta.component_counter)));
+    }
+    if (db.component_span() > 0) {
+      MAYBMS_RETURN_IF_ERROR(CheckIdGaps(
+          db.component_slot_count() - db.component_span(),
+          static_cast<size_t>(meta.component_counter),
+          dir.components.size()));
     }
     db.PadComponentSlots(static_cast<size_t>(meta.component_counter));
   }

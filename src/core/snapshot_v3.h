@@ -55,10 +55,15 @@ constexpr uint8_t kCellRef = 6;
 
 // Dead-id gaps a single snapshot may ask the loader to materialize.
 // Component ids are preserved across save/load (template cells reference
-// them), so files legitimately contain gaps from removed components —
-// but each gap costs a dead slot in the component store, and a crafted
-// file must not be able to demand billions of them.
+// them), so files legitimately contain gaps from removed components.
+// Ids below the lowest live one cost nothing (the store keeps only the
+// span from there up), but each hole above it costs a dead slot, and a
+// crafted file must not be able to demand billions of them.
 constexpr size_t kMaxComponentIdGaps = 1u << 20;
+
+/// Fails when the ids in [first, end) — `first` the lowest live id —
+/// hold more than kMaxComponentIdGaps dead ids beside `live` live ones.
+Status CheckIdGaps(size_t first, size_t end, size_t live);
 
 inline uint64_t DoubleBits(double d) {
   uint64_t bits;
@@ -81,7 +86,8 @@ std::pair<uint8_t, uint64_t> PackedToWire(const PackedValue& v,
 
 /// Places component `c` at exactly the stored `id` (cells reference it);
 /// ids arrive ascending, gaps become dead slots. `placed` is the number
-/// of components placed before this one, bounding the gap budget.
+/// of components that precede this one in the snapshot, bounding the gap
+/// budget.
 Status PlaceComponentAt(WsdDb* db, size_t id, size_t placed, Component c);
 
 /// Appends one component record (identical layout in v2 COMP streams and

@@ -39,6 +39,7 @@ Result<const WsdRelation*> WsdDb::GetRelation(const std::string& name) const {
 }
 
 Result<WsdRelation*> WsdDb::GetMutableRelation(const std::string& name) {
+  DropRefIndexOutsideDelta();
   auto it = relations_.find(ToLower(name));
   if (it == relations_.end()) {
     return Status::NotFound("relation not found: " + name);
@@ -47,6 +48,7 @@ Result<WsdRelation*> WsdDb::GetMutableRelation(const std::string& name) {
 }
 
 Status WsdDb::DropRelation(const std::string& name) {
+  DropRefIndexOutsideDelta();
   if (relations_.erase(ToLower(name)) == 0) {
     return Status::NotFound("relation not found: " + name);
   }
@@ -64,8 +66,9 @@ ComponentId WsdDb::AddComponent(Component c) {
   // A fresh component is referenced by no template tuple yet, so the
   // cached shard partitions (ranges over *referenced* components) stay
   // valid — no invalidation here.
+  DropRefIndexOutsideDelta();
+  const auto id = static_cast<ComponentId>(component_slot_count());
   components_.push_back(std::make_shared<Component>(std::move(c)));
-  const auto id = static_cast<ComponentId>(components_.size() - 1);
   if (delta_scope_ != nullptr) {
     // Created counts as dirty: the delta's caller has never seen it.
     delta_scope_->dirty.push_back(id);
@@ -76,9 +79,25 @@ ComponentId WsdDb::AddComponent(Component c) {
   return id;
 }
 
+void WsdDb::PlaceComponent(ComponentId id, Component c) {
+  MAYBMS_CHECK(id >= component_slot_count())
+      << "component " << id << " placed below the allocation point";
+  PadComponentSlots(id);
+  AddComponent(std::move(c));
+}
+
+void WsdDb::PadComponentSlots(size_t n) {
+  if (n <= component_slot_count()) return;
+  if (components_.empty()) {
+    first_id_ = static_cast<ComponentId>(n);
+  } else {
+    components_.resize(n - first_id_);
+  }
+}
+
 const Component& WsdDb::component(ComponentId id) const {
   MAYBMS_CHECK(IsLive(id)) << "dead component " << id;
-  return *components_[id];
+  return *components_[id - first_id_];
 }
 
 Component& WsdDb::mutable_component(ComponentId id) {
@@ -87,13 +106,14 @@ Component& WsdDb::mutable_component(ComponentId id) {
     // Inside ApplyDelta: record the dirty id; the delta epilogue
     // invalidates only the shard caches of relations that reference it.
     delta_scope_->dirty.push_back(id);
-    for (const Slot& s : components_[id]->slots()) {
+    for (const Slot& s : component(id).slots()) {
       delta_scope_->touched_owners.push_back(s.owner);
     }
   } else {
     InvalidateShardCaches();
+    ref_index_.reset();
   }
-  std::shared_ptr<Component>& p = components_[id];
+  std::shared_ptr<Component>& p = components_[id - first_id_];
   // use_count() == 1 proves uniqueness: another thread can only bump the
   // count through a database copy that already shares this component,
   // which would make the count >= 2 to begin with.
@@ -102,28 +122,82 @@ Component& WsdDb::mutable_component(ComponentId id) {
 }
 
 void WsdDb::RemoveComponent(ComponentId id) {
-  MAYBMS_CHECK(id < components_.size());
+  MAYBMS_CHECK(id < component_slot_count());
+  const bool live = IsLive(id);
   if (delta_scope_ != nullptr) {
     delta_scope_->removed.push_back(id);
-    if (components_[id] != nullptr) {
-      for (const Slot& s : components_[id]->slots()) {
+    if (live) {
+      for (const Slot& s : component(id).slots()) {
         delta_scope_->touched_owners.push_back(s.owner);
       }
     }
   } else {
     InvalidateShardCaches();
+    ref_index_.reset();
   }
-  components_[id].reset();
+  if (!live) return;
+  components_[id - first_id_].reset();
+  while (!components_.empty() && components_.front() == nullptr) {
+    components_.pop_front();
+    ++first_id_;
+  }
 }
 
 void WsdDb::InvalidateShardCaches() {
   for (auto& [key, rel] : relations_) rel.set_cached_shards(nullptr);
 }
 
+void WsdDb::IndexComponent(RefIndex* index, ComponentId id) const {
+  for (const Slot& s : component(id).slots()) {
+    std::vector<ComponentId>& comps = index->slot_comps[s.owner];
+    // Ids are indexed ascending, so a repeat owner within one component
+    // shows as the last entry.
+    if (comps.empty() || comps.back() != id) comps.push_back(id);
+  }
+}
+
+void WsdDb::IndexTuple(RefIndex* index, const WsdTuple& t) {
+  for (const Cell& c : t.cells) {
+    if (c.is_ref()) ++index->cell_refs[c.ref().cid];
+  }
+  for (OwnerId o : t.deps) ++index->gated[o];
+}
+
+WsdDb::RefIndex WsdDb::BuildRefIndex() const {
+  RefIndex index;
+  for (ComponentId id : LiveComponents()) IndexComponent(&index, id);
+  for (const auto& [key, rel] : relations_) {
+    for (const WsdTuple& t : rel.tuples()) IndexTuple(&index, t);
+  }
+  return index;
+}
+
+WsdDb::RefIndex& WsdDb::MutableRefIndex() {
+  if (ref_index_ == nullptr) {
+    ref_index_ = std::make_shared<RefIndex>(BuildRefIndex());
+  } else if (ref_index_.use_count() > 1) {
+    // Same uniqueness argument as mutable_component.
+    ref_index_ = std::make_shared<RefIndex>(*ref_index_);
+  }
+  return *ref_index_;
+}
+
+void WsdDb::IndexInsert(const std::string& relation, ComponentId first_new) {
+  if (ref_index_ == nullptr) return;
+  RefIndex& index = MutableRefIndex();
+  for (ComponentId id = first_new; id < component_slot_count(); ++id) {
+    if (IsLive(id)) IndexComponent(&index, id);
+  }
+  const WsdRelation& rel = relations_.at(ToLower(relation));
+  IndexTuple(&index, rel.tuple(rel.NumTuples() - 1));
+}
+
 std::vector<ComponentId> WsdDb::LiveComponents() const {
   std::vector<ComponentId> out;
-  for (ComponentId i = 0; i < components_.size(); ++i) {
-    if (components_[i] != nullptr) out.push_back(i);
+  for (size_t i = 0; i < components_.size(); ++i) {
+    if (components_[i] != nullptr) {
+      out.push_back(static_cast<ComponentId>(first_id_ + i));
+    }
   }
   return out;
 }
@@ -188,6 +262,7 @@ Result<std::vector<ComponentId>> WsdDb::MergeComponentGroups(
     result[g] = new_id;
   }
   if (!remap.empty()) {
+    ref_index_.reset();
     for (auto& [key, rel] : relations_) {
       for (auto& t : rel.mutable_tuples()) {
         for (auto& cell : t.cells) {
@@ -315,10 +390,10 @@ double WsdDb::GatedAliveMass(const Component& c,
 double WsdDb::ExistenceProbability(const WsdTuple& t) const {
   if (t.deps.empty()) return 1.0;
   double p = 1.0;
-  for (ComponentId id = 0; id < components_.size(); ++id) {
-    if (components_[id] == nullptr) continue;
+  for (const auto& c : components_) {
+    if (c == nullptr) continue;
     bool gates = false;
-    const double alive = GatedAliveMass(*components_[id], t.deps, &gates);
+    const double alive = GatedAliveMass(*c, t.deps, &gates);
     if (!gates) continue;
     p *= alive;
     if (p == 0.0) return 0.0;
@@ -328,9 +403,8 @@ double WsdDb::ExistenceProbability(const WsdTuple& t) const {
 
 Status WsdDb::CheckInvariants() const {
   constexpr double kEps = 1e-6;
-  for (ComponentId id = 0; id < components_.size(); ++id) {
-    if (components_[id] == nullptr) continue;
-    const Component& c = *components_[id];
+  for (ComponentId id : LiveComponents()) {
+    const Component& c = component(id);
     if (c.NumRows() == 0) {
       return Status::Internal(StrFormat("component %u has no rows", id));
     }
@@ -382,6 +456,10 @@ Status WsdDb::CheckInvariants() const {
       }
     }
   }
+  if (ref_index_ != nullptr && !(*ref_index_ == BuildRefIndex())) {
+    return Status::Internal(
+        "maintained reference index disagrees with a rebuild");
+  }
   return Status::OK();
 }
 
@@ -414,11 +492,10 @@ std::string WsdDb::ToString() const {
     }
   }
   bool first = true;
-  for (ComponentId id = 0; id < components_.size(); ++id) {
-    if (components_[id] == nullptr) continue;
+  for (ComponentId id : LiveComponents()) {
     out += first ? "components:\n" : "  ×\n";
     first = false;
-    std::string body = components_[id]->ToString();
+    std::string body = component(id).ToString();
     // indent
     out += StrFormat("  [c%u]\n", id);
     size_t pos = 0;

@@ -15,10 +15,12 @@
 #ifndef MAYBMS_CORE_WSD_H_
 #define MAYBMS_CORE_WSD_H_
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -97,6 +99,19 @@ struct WsdTuple {
   void AddDep(OwnerId owner);
 };
 
+/// Read-only view of a relation's tuples, oldest first.
+class TupleSpan {
+ public:
+  TupleSpan(const WsdTuple* data, size_t size) : data_(data), size_(size) {}
+  const WsdTuple* begin() const { return data_; }
+  const WsdTuple* end() const { return data_ + size_; }
+  size_t size() const { return size_; }
+
+ private:
+  const WsdTuple* data_;
+  size_t size_;
+};
+
 /// A template relation: schema plus world-dependent tuples.
 ///
 /// Copy-on-write: copying a WsdRelation shares the tuple vector (an
@@ -104,6 +119,11 @@ struct WsdTuple {
 /// vector — when it is shared. Catalog snapshots published to concurrent
 /// readers (server/shared_catalog.h) rely on this: a writer's detach
 /// never disturbs the tuples a reader's snapshot still references.
+///
+/// Retiring the oldest tuples (EraseOldest, the sliding-window
+/// primitive) costs O(retired) amortized: retired tuples are released at
+/// once but compacted out of the vector only when they make up half of
+/// it.
 class WsdRelation {
  public:
   WsdRelation() : tuples_(std::make_shared<std::vector<WsdTuple>>()) {}
@@ -120,6 +140,7 @@ class WsdRelation {
         display_name_(o.display_name_),
         schema_(o.schema_),
         tuples_(o.tuples_),
+        head_(o.head_),
         shards_(std::atomic_load(&o.shards_)) {}
   WsdRelation& operator=(const WsdRelation& o) {
     if (this == &o) return *this;
@@ -127,6 +148,7 @@ class WsdRelation {
     display_name_ = o.display_name_;
     schema_ = o.schema_;
     tuples_ = o.tuples_;
+    head_ = o.head_;
     shards_ = std::atomic_load(&o.shards_);
     return *this;
   }
@@ -144,17 +166,20 @@ class WsdRelation {
   const Schema& schema() const { return schema_; }
   void set_schema(Schema s) { schema_ = std::move(s); }
 
-  size_t NumTuples() const { return tuples_->size(); }
-  const WsdTuple& tuple(size_t i) const { return (*tuples_)[i]; }
+  size_t NumTuples() const { return tuples_->size() - head_; }
+  const WsdTuple& tuple(size_t i) const { return (*tuples_)[head_ + i]; }
   WsdTuple& mutable_tuple(size_t i) {
     Detach();
-    return (*tuples_)[i];
+    return (*tuples_)[head_ + i];
   }
-  const std::vector<WsdTuple>& tuples() const { return *tuples_; }
+  TupleSpan tuples() const {
+    return TupleSpan(tuples_->data() + head_, NumTuples());
+  }
   /// Note: the returned reference is invalidated by copying this
   /// relation (or its database) — the next mutable access re-detaches.
   std::vector<WsdTuple>& mutable_tuples() {
     Detach();
+    Compact();
     return *tuples_;
   }
 
@@ -164,7 +189,14 @@ class WsdRelation {
   }
   void Reserve(size_t n) {
     Detach();
-    tuples_->reserve(n);
+    tuples_->reserve(head_ + n);
+  }
+  /// Removes the oldest `n` tuples (n <= NumTuples()).
+  void EraseOldest(size_t n) {
+    Detach();
+    for (size_t i = head_; i < head_ + n; ++i) (*tuples_)[i] = WsdTuple();
+    head_ += n;
+    if (2 * head_ >= tuples_->size()) Compact();
   }
 
   /// Cached shard partition (see core/shard.h). Invalidated by the tuple
@@ -200,9 +232,18 @@ class WsdRelation {
     set_cached_shards(nullptr);
     if (!tuples_) {
       tuples_ = std::make_shared<std::vector<WsdTuple>>();
+      head_ = 0;
     } else if (tuples_.use_count() > 1) {
-      tuples_ = std::make_shared<std::vector<WsdTuple>>(*tuples_);
+      tuples_ = std::make_shared<std::vector<WsdTuple>>(
+          tuples_->begin() + static_cast<ptrdiff_t>(head_), tuples_->end());
+      head_ = 0;
     }
+  }
+  /// Drops the retired prefix from the (unshared) vector.
+  void Compact() {
+    tuples_->erase(tuples_->begin(),
+                   tuples_->begin() + static_cast<ptrdiff_t>(head_));
+    head_ = 0;
   }
 
   std::string name_;
@@ -210,6 +251,8 @@ class WsdRelation {
   Schema schema_;
   /// Never null; shared across copies until a mutable accessor detaches.
   std::shared_ptr<std::vector<WsdTuple>> tuples_;
+  /// (*tuples_)[0, head_) are retired tuples awaiting compaction.
+  size_t head_ = 0;
   mutable std::shared_ptr<const ShardPartition> shards_;
 };
 
@@ -228,13 +271,13 @@ struct WsdOptions {
 /// A world-set database: template relations + component store.
 ///
 /// Value type with copy-on-write semantics: copying a WsdDb copies the
-/// relation map (whose relations share their tuple vectors) and a vector
-/// of shared_ptrs to components — O(#relations + #components), not
-/// O(data). The first mutation of a shared relation or component clones
-/// just that object, so copies stay logically independent. This is what
-/// makes snapshot-isolated catalog versions cheap to publish
-/// (server/shared_catalog.h) and lifted evaluation's private input
-/// copies nearly free.
+/// relation map (whose relations share their tuple vectors) and a deque
+/// of shared_ptrs to components — O(#relations + live component-id
+/// span), not O(data). The first mutation of a shared relation or
+/// component clones just that object, so copies stay logically
+/// independent. This is what makes snapshot-isolated catalog versions
+/// cheap to publish (server/shared_catalog.h) and lifted evaluation's
+/// private input copies nearly free.
 ///
 /// Thread safety: all const methods are safe to call concurrently as
 /// long as no thread mutates this database object — value
@@ -253,6 +296,8 @@ class WsdDb {
   WsdDb(const WsdDb& o)
       : relations_(o.relations_),
         components_(o.components_),
+        first_id_(o.first_id_),
+        ref_index_(o.ref_index_),
         next_owner_(o.next_owner_),
         options_(o.options_),
         mutation_epoch_(o.mutation_epoch_) {}
@@ -260,6 +305,8 @@ class WsdDb {
     if (this == &o) return *this;
     relations_ = o.relations_;
     components_ = o.components_;
+    first_id_ = o.first_id_;
+    ref_index_ = o.ref_index_;
     next_owner_ = o.next_owner_;
     options_ = o.options_;
     mutation_epoch_ = o.mutation_epoch_;
@@ -269,6 +316,8 @@ class WsdDb {
   WsdDb(WsdDb&& o) noexcept
       : relations_(std::move(o.relations_)),
         components_(std::move(o.components_)),
+        first_id_(o.first_id_),
+        ref_index_(std::move(o.ref_index_)),
         next_owner_(o.next_owner_),
         options_(o.options_),
         mutation_epoch_(o.mutation_epoch_) {}
@@ -276,6 +325,8 @@ class WsdDb {
     if (this == &o) return *this;
     relations_ = std::move(o.relations_);
     components_ = std::move(o.components_);
+    first_id_ = o.first_id_;
+    ref_index_ = std::move(o.ref_index_);
     next_owner_ = o.next_owner_;
     options_ = o.options_;
     mutation_epoch_ = o.mutation_epoch_;
@@ -287,19 +338,29 @@ class WsdDb {
   Status CreateRelation(std::string name, Schema schema);
   bool HasRelation(const std::string& name) const;
   Result<const WsdRelation*> GetRelation(const std::string& name) const;
+  /// Mutable relation access. Like every mutator below, it drops the
+  /// reference index (see RefIndex) when called outside ApplyDelta.
   Result<WsdRelation*> GetMutableRelation(const std::string& name);
+  /// Removes the relation; its components stay (ApplyDelta's drop op is
+  /// the one that collects them).
   Status DropRelation(const std::string& name);
   std::vector<std::string> RelationNames() const;
   const std::map<std::string, WsdRelation>& relations() const {
     return relations_;
   }
   std::map<std::string, WsdRelation>& mutable_relations() {
+    DropRefIndexOutsideDelta();
     return relations_;
   }
 
   // --- components --------------------------------------------------------
-  /// Adds a component, returning its id.
+  /// Adds a component, returning its id. Ids are monotone and never
+  /// reused, so a stale id keeps reading as dead.
   ComponentId AddComponent(Component c);
+  /// Places `c` at exactly `id` (snapshot loading: template cells
+  /// reference the stored ids). `id` must be >= component_slot_count();
+  /// the ids skipped over are dead.
+  void PlaceComponent(ComponentId id, Component c);
   /// Component access; the id must be live.
   const Component& component(ComponentId id) const;
   /// Mutable component access: detaches the component if it is shared
@@ -308,24 +369,30 @@ class WsdDb {
   /// read from the components).
   Component& mutable_component(ComponentId id);
   bool IsLive(ComponentId id) const {
-    return id < components_.size() && components_[id] != nullptr;
+    return id >= first_id_ && id - first_id_ < components_.size() &&
+           components_[id - first_id_] != nullptr;
   }
   void RemoveComponent(ComponentId id);
-  /// Ids of all live components.
+  /// Ids of all live components, ascending.
   std::vector<ComponentId> LiveComponents() const;
   size_t NumLiveComponents() const;
-  /// Number of component slots ever allocated (live + dead). AddComponent
-  /// hands out id component_slot_count(), so two databases only allocate
-  /// the same ids going forward when their slot counts match — the binary
-  /// snapshot persists this so WAL replay after a reload is
-  /// deterministic.
-  size_t component_slot_count() const { return components_.size(); }
-  /// Grows the slot vector to `n` with trailing dead slots (no-op when
-  /// already that large). Used by snapshot loading to restore the
-  /// allocation point recorded at save time.
-  void PadComponentSlots(size_t n) {
-    if (n > components_.size()) components_.resize(n);
+  /// The allocation point: one past the highest id ever allocated (live
+  /// or dead). AddComponent hands out id component_slot_count(), so two
+  /// databases only allocate the same ids going forward when their
+  /// counts match — the binary snapshot persists this so WAL replay
+  /// after a reload is deterministic. Only the span from the lowest
+  /// live id up to this point is stored.
+  size_t component_slot_count() const {
+    return first_id_ + components_.size();
   }
+  /// Stored id span: from the lowest live id to the allocation point (0
+  /// when nothing is live). Dead ids below the lowest live one cost
+  /// nothing.
+  size_t component_span() const { return components_.size(); }
+  /// Moves the allocation point up to `n` (no-op when already there).
+  /// Used by snapshot loading to restore the point recorded at save
+  /// time; the ids skipped over are dead.
+  void PadComponentSlots(size_t n);
 
   /// Merges the given components (≥1) into a single product component.
   /// All template cells referencing the old components are remapped to the
@@ -401,8 +468,9 @@ class WsdDb {
 
   // --- invariants / rendering -------------------------------------------
   /// Validates structural invariants: refs point at live components/slots,
-  /// component masses ≈ 1, deps sorted, no ⊥ in inline cells. Returns the
-  /// first violation found.
+  /// component masses ≈ 1, deps sorted, no ⊥ in inline cells, and — when
+  /// the reference index is present — that it equals a rebuild from
+  /// scratch. Returns the first violation found.
   Status CheckInvariants() const;
 
   /// Paper-style rendering: template relations, then components as small
@@ -424,6 +492,48 @@ class WsdDb {
     std::vector<OwnerId> touched_owners;
   };
 
+  /// Who references what, so component GC costs O(delta) instead of a
+  /// pass over the whole database. A count reaching zero erases its key,
+  /// so a maintained index equals a rebuild exactly.
+  ///
+  /// Maintained incrementally only by ApplyDelta's insert, evict and
+  /// drop ops; reweight and set-cell ops leave it valid (they change no
+  /// reference or slot owner). Every other mutation drops it — REPAIR
+  /// KEY and ENFORCE ops, and any mutator called outside ApplyDelta
+  /// (lifted operators on working copies, loaders, MergeComponentGroups)
+  /// — and the next eviction rebuilds it. Databases that never evict
+  /// never build it. Copies share it; the first maintained write to a
+  /// shared index clones it (copy-on-write, like components).
+  struct RefIndex {
+    /// component → template cells referencing it.
+    std::unordered_map<ComponentId, uint32_t> cell_refs;
+    /// owner → tuples whose deps contain it.
+    std::unordered_map<OwnerId, uint32_t> gated;
+    /// owner → live components with a slot it owns, ascending.
+    std::unordered_map<OwnerId, std::vector<ComponentId>> slot_comps;
+
+    bool operator==(const RefIndex& o) const {
+      return cell_refs == o.cell_refs && gated == o.gated &&
+             slot_comps == o.slot_comps;
+    }
+  };
+  RefIndex BuildRefIndex() const;
+  /// The index, built when absent and detached when shared.
+  RefIndex& MutableRefIndex();
+  void DropRefIndexOutsideDelta() {
+    if (delta_scope_ == nullptr) ref_index_.reset();
+  }
+  void IndexComponent(RefIndex* index, ComponentId id) const;
+  static void IndexTuple(RefIndex* index, const WsdTuple& t);
+  /// Indexes what a successful insert op added: components from
+  /// `first_new` on and the relation's last tuple.
+  void IndexInsert(const std::string& relation, ComponentId first_new);
+  /// Removes the oldest `count` tuples of `relation` and collects the
+  /// components no surviving tuple references or is gated by, visiting
+  /// only the evicted tuples and their candidate components.
+  Status EvictOldest(const std::string& relation, size_t count,
+                     size_t* evicted);
+
   /// Clears every relation's cached shard partition. Called by the
   /// component mutators: partitions persist per-shard possible-value
   /// ranges, so a component edit (e.g. ENFORCE removing rows) must not
@@ -431,9 +541,16 @@ class WsdDb {
   void InvalidateShardCaches();
 
   std::map<std::string, WsdRelation> relations_;
-  /// null = dead slot. Shared across database copies until
-  /// mutable_component detaches (copy-on-write).
-  std::vector<std::shared_ptr<Component>> components_;
+  /// Component first_id_ + i lives at components_[i]; null = dead. The
+  /// dead prefix is popped as it forms (sliding-window eviction retires
+  /// the oldest ids first), so storage, iteration and copies cost the
+  /// live id span, not every id ever allocated. Shared across database
+  /// copies until mutable_component detaches (copy-on-write).
+  std::deque<std::shared_ptr<Component>> components_;
+  /// Id of components_.front(); the allocation point when it is empty.
+  ComponentId first_id_ = 0;
+  /// Null until an eviction needs it; see RefIndex.
+  std::shared_ptr<RefIndex> ref_index_;
   OwnerId next_owner_ = 1;
   WsdOptions options_;
   uint64_t mutation_epoch_ = 0;

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "core/builder.h"
+#include "core/delta.h"
 #include "core/mapped_db.h"
 #include "core/serialize.h"
 #include "core/shard.h"
@@ -189,6 +190,49 @@ TEST(CowDb, CopiesShareUntilMutation) {
   b.GetMutableRelation("r").value()->mutable_tuple(0);
   EXPECT_NE(&(*a.GetRelation("r"))->tuple(0),
             &(*b.GetRelation("r"))->tuple(0));
+}
+
+TEST(CowDb, ReadersCopyWhileAWriterEvictsItsOwnCopy) {
+  // The reference index and the component store are shared by every
+  // copy of a database. Readers keep copying the published version
+  // while a writer inserts and evicts on its own copy: the writer must
+  // detach before maintaining the index, and the published version must
+  // read the same throughout.
+  WsdDb published = SmallDb();
+  {
+    DeltaBatch warm;  // builds the index, so copies share a live one
+    warm.EvictOldest("r", 1);
+    ASSERT_TRUE(published.ApplyDelta(warm).ok());
+  }
+  const std::string expected = published.ToString();
+  WsdDb writer = published;
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  std::atomic<int> mismatches{0};
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      while (!done.load()) {
+        WsdDb copy = published;
+        if (!copy.CheckInvariants().ok() || copy.ToString() != expected) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (int tick = 0; tick < 64; ++tick) {
+    DeltaBatch batch;
+    batch.Insert("r", {CellSpec::Certain(Value::Int(100 + tick)),
+                       CellSpec::UniformOrSet(
+                           {Value::String("x"), Value::String("y")})});
+    batch.EvictOldest("r", 1);
+    EXPECT_TRUE(writer.ApplyDelta(batch).ok());
+  }
+  done = true;
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  MAYBMS_EXPECT_OK(writer.CheckInvariants());
+  EXPECT_EQ((*writer.GetRelation("r"))->NumTuples(), 31u);
+  EXPECT_EQ(published.ToString(), expected);
 }
 
 // --- mapped database -------------------------------------------------------

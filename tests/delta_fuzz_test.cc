@@ -9,7 +9,12 @@
 //   - serialize → deserialize → apply reproduces the exact same
 //     database state as applying the original batch (the WAL-replay
 //     contract), including after mid-batch failures — for every op
-//     kind, relation create/drop and domain ENFORCE included.
+//     kind, relation create/drop and domain ENFORCE included — with
+//     the same live component ids and allocation point;
+//   - both replicas pass CheckInvariants, which cross-checks the
+//     maintained reference index against a rebuild. Half the runs are
+//     evict-heavy, interleaving evictions with the ops that drop the
+//     index (ENFORCE, REPAIR KEY, DROP TABLE) so the rebuild path runs.
 //
 // MAYBMS_DELTA_FUZZ_ITERS raises the iteration budget for the long
 // `ctest -L fuzz` entry.
@@ -77,8 +82,10 @@ ExprPtr RandomPredicate(Rng* rng, const WsdRelation& r) {
 /// invalid (evicting a missing relation, reweighting with bad mass,
 /// creating a taken name, conditioning every world away) — deliberately:
 /// failed batches must fail identically on both replicas and leave
-/// identical states behind.
-void AddRandomOp(Rng* rng, const WsdDb& db, DeltaBatch* batch) {
+/// identical states behind. `evict_heavy` trades most reweights for
+/// evictions.
+void AddRandomOp(Rng* rng, const WsdDb& db, bool evict_heavy,
+                 DeltaBatch* batch) {
   auto create = [&] {
     batch->CreateRelation(
         "N" + std::to_string(rng->NextBelow(3)),
@@ -91,7 +98,8 @@ void AddRandomOp(Rng* rng, const WsdDb& db, DeltaBatch* batch) {
   }
   const std::string rel = rels[rng->NextBelow(rels.size())];
   const WsdRelation* r = db.GetRelation(rel).value();
-  const uint64_t kind = rng->NextBelow(14);
+  uint64_t kind = rng->NextBelow(14);
+  if (evict_heavy && kind >= 7 && kind < 9) kind = 5;
   if (kind < 5) {  // insert a fresh row, ~half its cells or-sets
     std::vector<CellSpec> cells;
     for (size_t c = 0; c < r->schema().size(); ++c) {
@@ -150,12 +158,14 @@ TEST(DeltaFuzz, IncrementalEqualsScratchBitForBit) {
     // The shadow replica sees every batch through its WAL encoding.
     WsdDb shadow(session.db());
 
-    const size_t batches = 3 + rng.NextBelow(4);
+    const bool evict_heavy = rng.NextBernoulli(0.5);
+    const size_t batches =
+        evict_heavy ? 8 + rng.NextBelow(8) : 3 + rng.NextBelow(4);
     for (size_t b = 0; b < batches; ++b) {
       DeltaBatch batch;
       const size_t ops = 1 + rng.NextBelow(3);
       for (size_t o = 0; o < ops; ++o) {
-        AddRandomOp(&rng, session.db(), &batch);
+        AddRandomOp(&rng, session.db(), evict_heavy, &batch);
       }
 
       auto direct = session.ApplyDelta(batch);
@@ -174,6 +184,11 @@ TEST(DeltaFuzz, IncrementalEqualsScratchBitForBit) {
       ASSERT_TRUE(DbsExactlyEqual(session.db(), shadow))
           << "iter " << iter << " batch " << b << " diverged:\n"
           << batch.ToString();
+      ASSERT_EQ(session.db().LiveComponents(), shadow.LiveComponents());
+      ASSERT_EQ(session.db().component_slot_count(),
+                shadow.component_slot_count());
+      MAYBMS_ASSERT_OK(session.db().CheckInvariants());
+      MAYBMS_ASSERT_OK(shadow.CheckInvariants());
       if (direct.ok()) {
         ASSERT_EQ(direct->tuples_inserted, replayed->tuples_inserted);
         ASSERT_EQ(direct->dirty_components, replayed->dirty_components);

@@ -262,6 +262,75 @@ TEST(ApplyDeltaTest, EvictKeepsComponentsSharedWithSurvivors) {
   EXPECT_EQ((*db.GetRelation("R"))->NumTuples(), 1u);
 }
 
+TEST(ApplyDeltaTest, EvictMaintainsTheReferenceIndexAcrossCopies) {
+  // The first eviction builds the reference index; later inserts and
+  // evictions maintain it, and CheckInvariants compares it against a
+  // rebuild. A copy taken in between shares the index, and neither
+  // side's writes leak into the other's.
+  WsdDb db = TwoColumnDb();
+  DeltaBatch fill;
+  for (int i = 0; i < 8; ++i) fill.Insert("t", UncertainRow(i));
+  MAYBMS_ASSERT_OK(db.ApplyDelta(fill).status());
+  DeltaBatch tick;
+  tick.Insert("t", UncertainRow(8)).EvictOldest("t", 2);
+  MAYBMS_ASSERT_OK(db.ApplyDelta(tick).status());
+  MAYBMS_ASSERT_OK(db.CheckInvariants());
+
+  WsdDb copy = db;
+  MAYBMS_ASSERT_OK(copy.ApplyDelta(tick).status());
+  MAYBMS_ASSERT_OK(copy.CheckInvariants());
+  MAYBMS_ASSERT_OK(db.CheckInvariants());
+  EXPECT_EQ((*db.GetRelation("t"))->NumTuples(), 7u);
+  EXPECT_EQ((*copy.GetRelation("t"))->NumTuples(), 6u);
+
+  // A mutation outside ApplyDelta drops the index; the next eviction
+  // rebuilds it and collects exactly what a from-scratch pass would.
+  db.GetMutableRelation("t").value()->mutable_tuple(0).cells[0] =
+      Cell::Certain(Value::Int(42));
+  MAYBMS_ASSERT_OK(db.ApplyDelta(tick).status());
+  MAYBMS_ASSERT_OK(db.CheckInvariants());
+  EXPECT_EQ(db.NumLiveComponents(), 6u);
+
+  // The dead prefix is not stored: only the live id span is.
+  EXPECT_EQ(db.component_span(),
+            db.component_slot_count() - db.LiveComponents().front());
+}
+
+TEST(ApplyDeltaTest, DropCollectsComponentsOnlyTheDroppedRelationUsed) {
+  // CREATE a, b; or-sets into both; DROP TABLE b leaves exactly the
+  // components (and world count) of a database that only ever held a,
+  // and WAL replay of the drop reproduces them.
+  FaultInjectingEnv env;
+  sql::Session s;
+  s.set_env(&env);
+  MAYBMS_ASSERT_OK(
+      s.ExecuteScript("CREATE TABLE a (x INT);"
+                      "CREATE TABLE b (x INT);"
+                      "INSERT INTO a VALUES ({1: 0.5, 2: 0.5});"
+                      "INSERT INTO b VALUES ({1: 0.5, 2: 0.5}), "
+                      "({3: 0.25, 4: 0.75});")
+          .status());
+  MAYBMS_ASSERT_OK(s.Execute("SAVE DATABASE 'db'").status());
+  ASSERT_EQ(s.db().NumLiveComponents(), 3u);
+  MAYBMS_ASSERT_OK(s.Execute("DROP TABLE b").status());
+
+  sql::Session only_a;
+  MAYBMS_ASSERT_OK(
+      only_a.ExecuteScript("CREATE TABLE a (x INT);"
+                           "INSERT INTO a VALUES ({1: 0.5, 2: 0.5});")
+          .status());
+  EXPECT_EQ(s.db().LiveComponents(), only_a.db().LiveComponents());
+  EXPECT_EQ(s.db().Log2WorldCount(), only_a.db().Log2WorldCount());
+  EXPECT_EQ(s.db().Log2WorldCount(), 1.0);
+  MAYBMS_ASSERT_OK(s.db().CheckInvariants());
+
+  sql::Session r;
+  r.set_env(&env);
+  MAYBMS_ASSERT_OK(r.Execute("LOAD DATABASE 'db'").status());
+  testing_util::ExpectDbsExactlyEqual(s.db(), r.db());
+  EXPECT_EQ(r.db().component_slot_count(), s.db().component_slot_count());
+}
+
 TEST(ApplyDeltaTest, ReweightValidatesAndMarksDirty) {
   WsdDb db = TwoColumnDb();
   DeltaBatch fill;

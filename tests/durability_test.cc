@@ -183,6 +183,49 @@ TEST(DurabilityTest, AutoCheckpointKeepsTheLogShort) {
   testing_util::ExpectDbsExactlyEqual(s.db(), b.db());
 }
 
+TEST(DurabilityTest, StreamPastTheGapBudgetCheckpointsAndReloads) {
+  // A long sliding-window stream: more component ids than the loaders'
+  // gap budget have come and gone. Checkpoints and reloads (eager and
+  // mapped) still work and resume allocation at the same id.
+  FaultInjectingEnv env;
+  WsdDb churned;
+  MAYBMS_ASSERT_OK(churned.CreateRelation(
+      "t", Schema({{"x", ValueType::kInt}, {"w", ValueType::kDouble}})));
+  for (size_t i = 0; i < (size_t{1} << 20) + 64; ++i) {
+    churned.RemoveComponent(churned.AddComponent({}));
+  }
+  Session s(std::move(churned));
+  s.set_env(&env);
+  MAYBMS_ASSERT_OK(
+      s.ExecuteScript("INSERT INTO t VALUES ({1: 0.25, 2: 0.75}, 1.5);"
+                      "SAVE DATABASE 'db';"
+                      "INSERT INTO t VALUES ({3: 0.5, 4: 0.5}, 2.0);"
+                      "DELETE FROM t OLDEST 1;"
+                      "CHECKPOINT;"
+                      "INSERT INTO t VALUES ({5: 0.5, 6: 0.5}, 2.5);"
+                      "DELETE FROM t OLDEST 1;")
+          .status());
+  EXPECT_EQ(s.wal_record_count(), 2u);
+  EXPECT_GT(s.db().LiveComponents().front(), size_t{1} << 20);
+
+  Session b;
+  b.set_env(&env);
+  MAYBMS_ASSERT_OK(b.Execute("LOAD DATABASE 'db'").status());
+  testing_util::ExpectDbsExactlyEqual(s.db(), b.db());
+  EXPECT_EQ(b.db().component_slot_count(), s.db().component_slot_count());
+
+  // The mapped load replays the log too; a write makes it resident.
+  const std::string write = "INSERT INTO t VALUES ({7: 0.5, 8: 0.5}, 3.0)";
+  Session m;
+  m.set_env(&env);
+  MAYBMS_ASSERT_OK(m.Execute("LOAD DATABASE 'db' MAPPED").status());
+  MAYBMS_ASSERT_OK(m.Execute(write).status());
+  Session ref{WsdDb(s.db())};
+  MAYBMS_ASSERT_OK(ref.Execute(write).status());
+  testing_util::ExpectDbsExactlyEqual(ref.db(), m.db());
+  EXPECT_EQ(m.db().component_slot_count(), ref.db().component_slot_count());
+}
+
 TEST(DurabilityTest, StaleLogFromOlderSnapshotIsDiscarded) {
   FaultInjectingEnv env;
   Session a;

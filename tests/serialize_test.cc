@@ -9,7 +9,9 @@
 
 #include "core/builder.h"
 #include "core/lifted.h"
+#include "core/mapped_db.h"
 #include "core/serialize.h"
+#include "core/snapshot_v3.h"
 #include "storage/snapshot_io.h"
 #include "tests/test_util.h"
 #include "worlds/enumerate.h"
@@ -312,8 +314,9 @@ TEST(SerializeBinaryTest, ChecksumMismatchIsReported) {
 }
 
 TEST(SerializeBinaryTest, HugeComponentIdIsRejectedNotAllocated) {
-  // A checksummed-but-hostile snapshot demanding a component id with
-  // ~2^28 dead-id gaps must fail fast instead of materializing them.
+  // A checksummed-but-hostile snapshot demanding a component id ~2^28
+  // above the first live one must fail fast instead of materializing
+  // the dead ids between them.
   std::stringstream out;
   out << "MAYBMS-WSD 2\n";
   std::string meta;
@@ -329,15 +332,17 @@ TEST(SerializeBinaryTest, HugeComponentIdIsRejectedNotAllocated) {
   MAYBMS_ASSERT_OK(WriteSnapshotSection(
       out, SnapshotFourCC('S', 'T', 'R', 'S'), strs));
   std::string comp;
-  PutPod(&comp, static_cast<uint32_t>(1));           // one component...
-  PutPod(&comp, static_cast<uint32_t>(0x0fffffff));  // ...at a huge id
-  PutPod(&comp, static_cast<uint32_t>(1));           // n_slots
-  PutPod(&comp, static_cast<uint64_t>(1));           // n_rows
-  PutPod(&comp, static_cast<uint64_t>(1));           // slot owner
-  PutLenString(&comp, "x");                          // slot label
-  PutPod(&comp, 1.0);                                // prob column
-  PutPod(&comp, static_cast<uint8_t>(2));            // tag: bool
-  PutPod(&comp, static_cast<uint64_t>(1));           // payload
+  PutPod(&comp, static_cast<uint32_t>(2));  // two components: id 0, then...
+  for (uint32_t id : {0u, 0x0fffffffu}) {   // ...one at a huge id
+    PutPod(&comp, id);
+    PutPod(&comp, static_cast<uint32_t>(1));  // n_slots
+    PutPod(&comp, static_cast<uint64_t>(1));  // n_rows
+    PutPod(&comp, static_cast<uint64_t>(1));  // slot owner
+    PutLenString(&comp, "x");                 // slot label
+    PutPod(&comp, 1.0);                       // prob column
+    PutPod(&comp, static_cast<uint8_t>(2));   // tag: bool
+    PutPod(&comp, static_cast<uint64_t>(1));  // payload
+  }
   MAYBMS_ASSERT_OK(WriteSnapshotSection(
       out, SnapshotFourCC('C', 'O', 'M', 'P'), comp));
   auto r = ReadWsdDb(out);
@@ -380,13 +385,104 @@ TEST(SerializeBinaryTest, HugeSlotCountIsRejectedNotAllocated) {
 
 TEST(SerializeTest, HugeComponentIdIsRejectedNotAllocated) {
   std::stringstream in(
-      "MAYBMS-WSD 1\nOPTIONS 16\nCOMPONENTS 1\n"
+      "MAYBMS-WSD 1\nOPTIONS 16\nCOMPONENTS 2\n"
+      "COMPONENT 0 1 1\nSLOT 1 s1:x\nROW 1 T\n"
       "COMPONENT 999999999 1 1\nSLOT 1 s1:x\nROW 1 T\nRELATIONS 0\nEND\n");
   auto r = ReadWsdDb(in);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kParseError);
   EXPECT_NE(r.status().message().find("dead-id gaps"), std::string::npos)
       << r.status().ToString();
+}
+
+// A database whose component ids have run past the loaders' gap budget:
+// `churn` ids allocated and removed, then `live_rows` or-set rows.
+WsdDb ChurnedDb(size_t churn, int live_rows) {
+  WsdDb db;
+  MAYBMS_EXPECT_OK(db.CreateRelation("t", Schema({{"k", ValueType::kInt},
+                                                  {"v", ValueType::kString}})));
+  for (size_t i = 0; i < churn; ++i) db.RemoveComponent(db.AddComponent({}));
+  for (int k = 0; k < live_rows; ++k) {
+    MAYBMS_EXPECT_OK(
+        InsertTuple(&db, "t",
+                    {CellSpec::Certain(Value::Int(k)),
+                     CellSpec::OrSet({{Value::String("a"), 0.25},
+                                      {Value::String("b"), 0.75}})})
+            .status());
+  }
+  return db;
+}
+
+TEST(SerializeIdSpaceTest, IdsPastTheGapBudgetReloadInEveryFormat) {
+  // Sliding-window eviction retires the oldest ids first, so a long
+  // stream's live ids sit far above 0 with nothing below them. The dead
+  // prefix costs no storage and no gap budget: every format reloads it
+  // with the same ids, and allocation resumes where it stopped.
+  const size_t churn = snapshotv3::kMaxComponentIdGaps + 10;
+  WsdDb db = ChurnedDb(churn, 2);
+  ASSERT_EQ(db.LiveComponents(),
+            std::vector<ComponentId>({static_cast<ComponentId>(churn),
+                                      static_cast<ComponentId>(churn + 1)}));
+  EXPECT_EQ(db.component_span(), 2u);
+  WsdDb next = db;
+  const ComponentId next_id = next.AddComponent({});
+
+  const std::string path = TempPath("maybms_churned.wsd");
+  using F = SnapshotFormat;
+  for (F format : {F::kText, F::kBinaryV2, F::kBinary}) {
+    MAYBMS_ASSERT_OK(SaveWsdDb(db, path, format));
+    auto back = LoadWsdDb(path);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    testing_util::ExpectDbsExactlyEqual(db, *back);
+    EXPECT_EQ(back->component_slot_count(), db.component_slot_count());
+    EXPECT_EQ(back->component_span(), 2u);
+    EXPECT_EQ(back->AddComponent({}), next_id);
+  }
+  auto mapped = MappedWsdDb::Open(path);  // the v3 file written last
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  auto all = mapped->MaterializeAll();
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  testing_util::ExpectDbsExactlyEqual(db, *all);
+  EXPECT_EQ(all->component_slot_count(), db.component_slot_count());
+  EXPECT_EQ(all->AddComponent({}), next_id);
+  std::remove(path.c_str());
+}
+
+TEST(SerializeIdSpaceTest, HolesAboveTheFirstLiveIdStayBudgeted) {
+  // One live id at 0 and one past the budget above it. Saving refuses
+  // (a checkpoint must not replace a loadable snapshot with one that is
+  // not), and every loader refuses the bytes the stream writers still
+  // produce, with ParseError instead of storing the holes.
+  WsdDb db = ChurnedDb(0, 1);
+  for (size_t i = 0; i <= snapshotv3::kMaxComponentIdGaps; ++i) {
+    db.RemoveComponent(db.AddComponent({}));
+  }
+  MAYBMS_ASSERT_OK(
+      InsertTuple(&db, "t",
+                  {CellSpec::Certain(Value::Int(9)),
+                   CellSpec::OrSet({{Value::String("a"), 0.5},
+                                    {Value::String("b"), 0.5}})})
+          .status());
+  const std::string path = TempPath("maybms_holes.wsd");
+  EXPECT_EQ(SaveWsdDb(db, path, SnapshotFormat::kBinary).code(),
+            StatusCode::kResourceExhausted);
+  for (auto write : {&WriteWsdDb, &WriteWsdDbBinary, &WriteWsdDbBinaryV3}) {
+    std::stringstream ss;
+    MAYBMS_ASSERT_OK(write(db, ss));
+    {
+      std::ofstream f(path, std::ios::binary);
+      f << ss.str();
+    }
+    auto back = ReadWsdDb(ss);
+    ASSERT_FALSE(back.ok());
+    EXPECT_EQ(back.status().code(), StatusCode::kParseError);
+    EXPECT_NE(back.status().message().find("dead-id gaps"), std::string::npos)
+        << back.status().ToString();
+  }
+  auto mapped = MappedWsdDb::Open(path);  // the v3 bytes written last
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(mapped.status().code(), StatusCode::kParseError);
+  std::remove(path.c_str());
 }
 
 class SerializeBinaryRandom : public ::testing::TestWithParam<int> {};
