@@ -186,9 +186,12 @@ void SnapshotBench(BenchJson* json) {
 // workload is the cold-start cost of answering one selective query
 // (PERNUM in the last shard) over the census WSD:
 //
-//   eager      — LoadWsdDb decodes the whole file, then executes.
-//   mapped     — MappedWsdDb::Open verifies the few-KB head, prunes
-//                shards against the predicate, and decodes one shard.
+//   eager      — LoadWsdDb maps the file, opens it as a MappedWsdDb
+//                and materializes it whole (every block plus the
+//                COMP/RELS section checksums), then executes.
+//   mapped     — the same reader kept open: MappedWsdDb::Open verifies
+//                the few-KB head, prunes shards against the predicate,
+//                and decodes one shard.
 //
 // The mapped database runs with the resident-cache cap at 1/4 of the
 // snapshot size, so the configuration is genuinely out-of-core: the

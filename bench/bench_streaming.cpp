@@ -203,15 +203,6 @@ int main() {
 
   const double conf_speedup = full_s / std::max(incr_s, 1e-12);
   const double esum_speedup = esum_full_s / std::max(esum_incr_s, 1e-12);
-  // Below ~512 tuples fixed per-query costs (cluster-index build, final
-  // merge) dominate and the ratio is noise — the smoke run only checks
-  // that the bench executes and stays exact.
-  if (window >= 512) {
-    MAYBMS_CHECK(conf_speedup >= 5.0)
-        << "incremental CONF only " << conf_speedup
-        << "x faster than full recompute (need >= 5x)";
-  }
-
   const double per_query = 1.0 / static_cast<double>(ticks);
   Table table({"metric", "value"});
   table.AddRow({"window", std::to_string(window)});
@@ -252,5 +243,16 @@ int main() {
   // back into the store fails the regression gate.
   json.Add("streaming_evict_window16384_component_span",
            static_cast<double>(large.span));
+  // The floor is checked only after the table and the JSON are out, so
+  // a run that misses it still leaves its numbers behind. Below ~512
+  // tuples fixed per-query costs (cluster-index build, final merge)
+  // dominate and the ratio is noise — the smoke run only checks that the
+  // bench executes and stays exact.
+  json.Write();
+  if (window >= 512) {
+    MAYBMS_CHECK(conf_speedup >= 5.0)
+        << "incremental CONF only " << conf_speedup
+        << "x faster than full recompute (need >= 5x)";
+  }
   return 0;
 }

@@ -575,12 +575,15 @@ ClusterOutcome EvalAnytime(const ClusterIndex& index, const Cluster& cluster,
       // Raw frequency estimator: exactly unbiased through the product
       // combine, so it is deliberately left unclamped.
       iv.est = total * static_cast<double>(h) / static_cast<double>(n);
-      iv.lo = std::max(0.0, iv.est - hw);
-      iv.hi = std::min(1.0, iv.est + hw);
+      iv.lo = std::clamp(iv.est - hw, 0.0, 1.0);
+      iv.hi = std::clamp(iv.est + hw, 0.0, 1.0);
       return iv;
     }
-    const double lo_b = m;
-    const double hi_b = std::min(1.0, m + unvisited);
+    // Summed state masses can round past 1.0; capping the enumerated
+    // mass keeps lo_b <= hi_b, so every clamp below has lo <= hi and the
+    // interval satisfies lo <= est <= hi by construction.
+    const double lo_b = std::min(m, 1.0);
+    const double hi_b = std::min(1.0, lo_b + unvisited);
     if (n > 0) {
       const double est_s =
           total * static_cast<double>(h) / static_cast<double>(n);
@@ -592,11 +595,11 @@ ClusterOutcome EvalAnytime(const ClusterIndex& index, const Cluster& cluster,
         iv.lo = lo_b;
         iv.hi = hi_b;
       }
-      iv.est = std::clamp(scan.done() ? m : est_s, iv.lo, iv.hi);
+      iv.est = std::clamp(scan.done() ? lo_b : est_s, iv.lo, iv.hi);
     } else {
       iv.lo = lo_b;
       iv.hi = hi_b;
-      iv.est = std::clamp(m + unvisited * 0.5, iv.lo, iv.hi);
+      iv.est = std::clamp(lo_b + unvisited * 0.5, iv.lo, iv.hi);
     }
     return iv;
   };

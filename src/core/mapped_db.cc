@@ -6,6 +6,7 @@
 #include <map>
 
 #include "common/hash.h"
+#include "common/parallel.h"
 #include "common/string_util.h"
 #include "storage/value_pool.h"
 
@@ -14,8 +15,6 @@ namespace maybms {
 namespace {
 
 namespace sv3 = snapshotv3;
-
-constexpr char kHeaderV3[] = "MAYBMS-WSD 3\n";
 
 size_t ResolveResidentCap(size_t requested) {
   if (requested != 0) return requested;
@@ -38,6 +37,15 @@ Status CheckBlockBounds(std::string_view payload, uint64_t offset,
   if (offset > payload.size() || length > payload.size() - offset) {
     return Status::ParseError(
         StrFormat("snapshot %s block out of bounds", what));
+  }
+  return Status::OK();
+}
+
+Status VerifySection(const sv3::SectionView& s) {
+  if (HashBytes(s.payload.data(), s.payload.size()) != s.checksum) {
+    return Status::ParseError(
+        StrFormat("snapshot section %s failed checksum verification",
+                  SnapshotTagName(s.tag).c_str()));
   }
   return Status::OK();
 }
@@ -107,19 +115,26 @@ void CollectScans(const Plan& p, const WsdDb& skeleton,
 Result<MappedWsdDb> MappedWsdDb::Open(const std::string& path,
                                       MappedDbOptions options, Env* env) {
   if (env == nullptr) env = Env::Default();
+  MAYBMS_ASSIGN_OR_RETURN(std::unique_ptr<RandomAccessImage> image,
+                          env->MapFile(path));
+  return Open(std::move(image), options);
+}
+
+Result<MappedWsdDb> MappedWsdDb::Open(std::unique_ptr<RandomAccessImage> image,
+                                      MappedDbOptions options) {
   MappedWsdDb m;
-  MAYBMS_ASSIGN_OR_RETURN(m.file_, env->MapFile(path));
+  m.file_ = std::move(image);
   m.max_resident_bytes_ = ResolveResidentCap(options.max_resident_bytes);
 
   std::string_view bytes = m.file_->bytes();
-  constexpr size_t kHeaderLen = sizeof(kHeaderV3) - 1;
-  if (bytes.substr(0, kHeaderLen) != kHeaderV3) {
+  constexpr size_t kHeaderLen = sizeof(sv3::kHeaderV3) - 1;
+  if (bytes.substr(0, kHeaderLen) != sv3::kHeaderV3) {
     if (bytes.substr(0, 10) == "MAYBMS-WSD") {
       return Status::Unsupported(
           "only \"MAYBMS-WSD 3\" snapshots support mapped loading; "
           "load v1/v2 files eagerly and re-save");
     }
-    return Status::ParseError("not a MAYBMS-WSD snapshot: " + path);
+    return Status::ParseError("not a MAYBMS-WSD snapshot: " + m.path());
   }
 
   MAYBMS_ASSIGN_OR_RETURN(std::vector<sv3::SectionView> sections,
@@ -139,14 +154,10 @@ Result<MappedWsdDb> MappedWsdDb::Open(const std::string& path,
     }
   }
   // The eager head (META, STRS, SDIR, END) is checksum-verified now;
-  // COMP/RELS blocks verify individually on first materialization.
+  // COMP/RELS blocks verify individually on first materialization, and
+  // their whole sections only when every block is materialized.
   for (size_t i : {size_t{0}, size_t{1}, size_t{2}, size_t{5}}) {
-    const sv3::SectionView& s = sections[i];
-    if (HashBytes(s.payload.data(), s.payload.size()) != s.checksum) {
-      return Status::ParseError(
-          StrFormat("snapshot section %s failed checksum verification",
-                    SnapshotTagName(s.tag).c_str()));
-    }
+    MAYBMS_RETURN_IF_ERROR(VerifySection(sections[i]));
   }
   if (!sections[5].payload.empty()) {
     return Status::ParseError("snapshot END section carries payload");
@@ -172,23 +183,21 @@ Result<MappedWsdDb> MappedWsdDb::Open(const std::string& path,
           comps.size()));
     }
   }
-  m.comp_payload_ = sections[3].payload;
-  m.rels_payload_ = sections[4].payload;
+  m.comp_ = sections[3];
+  m.rels_ = sections[4];
 
   // Directory offsets are validated against the mapped payload sizes
   // here, so materialization never slices out of bounds.
-  for (size_t k = 0; k < m.dir_.components.size(); ++k) {
-    const sv3::DirComponent& dc = m.dir_.components[k];
+  for (const sv3::DirComponent& dc : m.dir_.components) {
     MAYBMS_RETURN_IF_ERROR(
-        CheckBlockBounds(m.comp_payload_, dc.offset, dc.length, "component"));
-    m.comp_index_of_id_.emplace(dc.id, k);
+        CheckBlockBounds(m.comp_.payload, dc.offset, dc.length, "component"));
   }
   for (const sv3::DirRelation& dr : m.dir_.relations) {
     for (const sv3::DirShard& ds : dr.shards) {
       MAYBMS_RETURN_IF_ERROR(
-          CheckBlockBounds(m.rels_payload_, ds.offset, ds.length, "shard"));
+          CheckBlockBounds(m.rels_.payload, ds.offset, ds.length, "shard"));
       for (ComponentId id : ds.ref_components) {
-        if (m.comp_index_of_id_.find(id) == m.comp_index_of_id_.end()) {
+        if (m.ComponentIndex(id) == m.dir_.components.size()) {
           return Status::ParseError(
               StrFormat("snapshot shard references unknown component %u", id));
         }
@@ -204,21 +213,23 @@ Result<MappedWsdDb> MappedWsdDb::Open(const std::string& path,
     }
   }
 
+  // The per-shard ranges and referenced components move from the
+  // directory into the partitions; dir_ keeps the block locations.
   m.partitions_.reserve(m.dir_.relations.size());
-  for (const sv3::DirRelation& dr : m.dir_.relations) {
-    ShardPartition part;
-    part.rows_per_shard =
+  for (sv3::DirRelation& dr : m.dir_.relations) {
+    auto part = std::make_shared<ShardPartition>();
+    part->rows_per_shard =
         m.meta_.rows_per_shard == 0
             ? std::max<size_t>(static_cast<size_t>(dr.n_tuples), 1)
             : static_cast<size_t>(m.meta_.rows_per_shard);
-    part.shards.reserve(dr.shards.size());
-    for (const sv3::DirShard& ds : dr.shards) {
+    part->shards.reserve(dr.shards.size());
+    for (sv3::DirShard& ds : dr.shards) {
       ShardInfo info;
       info.row_begin = static_cast<size_t>(ds.row_begin);
       info.row_end = static_cast<size_t>(ds.row_end);
-      info.ranges = ds.ranges;
-      info.ref_components = ds.ref_components;
-      part.shards.push_back(std::move(info));
+      info.ranges = std::move(ds.ranges);
+      info.ref_components = std::move(ds.ref_components);
+      part->shards.push_back(std::move(info));
     }
     m.partitions_.push_back(std::move(part));
   }
@@ -236,6 +247,15 @@ Result<MappedWsdDb> MappedWsdDb::Open(const std::string& path,
     m.skeleton_.BumpOwner(static_cast<OwnerId>(m.meta_.owner_counter - 1));
   }
   return m;
+}
+
+size_t MappedWsdDb::ComponentIndex(ComponentId id) const {
+  const std::vector<sv3::DirComponent>& comps = dir_.components;
+  auto it = std::lower_bound(
+      comps.begin(), comps.end(), id,
+      [](const sv3::DirComponent& c, ComponentId v) { return c.id < v; });
+  if (it == comps.end() || it->id != id) return comps.size();
+  return static_cast<size_t>(it - comps.begin());
 }
 
 // Requires mu_ held.
@@ -279,23 +299,11 @@ void MappedWsdDb::EvictToCap() {
   }
 }
 
-Result<std::shared_ptr<const Component>> MappedWsdDb::DecodeComponent(
-    size_t k, bool use_cache, MaterializeStats* stats) {
-  if (use_cache) {
-    std::lock_guard<std::mutex> lock(*mu_);
-    auto it = comp_cache_.find(k);
-    if (it != comp_cache_.end()) {
-      it->second.last_use = ++use_clock_;
-      return it->second.comp;
-    }
-  }
-  // Decode outside the lock: the mapped payload is immutable, and the
-  // checksum + parse work dominates. Two threads racing on a cold block
-  // both decode; the second install below adopts the first one's copy.
+Result<Component> MappedWsdDb::DecodeComponentBlock(size_t k) const {
   const sv3::DirComponent& dc = dir_.components[k];
   MAYBMS_ASSIGN_OR_RETURN(
       std::string_view block,
-      sv3::SliceBlock(comp_payload_, dc.offset, dc.length, dc.checksum,
+      sv3::SliceBlock(comp_.payload, dc.offset, dc.length, dc.checksum,
                       "component"));
   SnapshotCursor cur(block);
   MAYBMS_ASSIGN_OR_RETURN(auto decoded,
@@ -308,25 +316,54 @@ Result<std::shared_ptr<const Component>> MappedWsdDb::DecodeComponent(
     return Status::ParseError(
         "snapshot component block disagrees with its directory entry");
   }
+  return std::move(decoded.second);
+}
+
+Status MappedWsdDb::DecodeShardBlock(size_t r, size_t s, WsdTuple* out) const {
+  const sv3::DirRelation& dr = dir_.relations[r];
+  const sv3::DirShard& ds = dr.shards[s];
+  MAYBMS_ASSIGN_OR_RETURN(
+      std::string_view block,
+      sv3::SliceBlock(rels_.payload, ds.offset, ds.length, ds.checksum,
+                      "shard"));
+  return sv3::DecodeShardRecord(
+      block, static_cast<uint32_t>(dr.schema.size()),
+      static_cast<size_t>(ds.row_end - ds.row_begin), local_strings_, out);
+}
+
+Result<std::shared_ptr<const Component>> MappedWsdDb::LoadComponent(
+    size_t k, MaterializeStats* stats) {
+  {
+    std::lock_guard<std::mutex> lock(*mu_);
+    auto it = comp_cache_.find(k);
+    if (it != comp_cache_.end()) {
+      it->second.last_use = ++use_clock_;
+      return it->second.comp;
+    }
+  }
+  // Decode outside the lock: the mapped payload is immutable, and the
+  // checksum + parse work dominates. Two threads racing on a cold block
+  // both decode; the second install below adopts the first one's copy.
+  MAYBMS_ASSIGN_OR_RETURN(Component decoded, DecodeComponentBlock(k));
+  const size_t bytes = static_cast<size_t>(dir_.components[k].length);
   stats->components_loaded++;
-  stats->bytes_decoded += static_cast<size_t>(dc.length);
-  auto comp = std::make_shared<const Component>(std::move(decoded.second));
-  if (!use_cache) return comp;
+  stats->bytes_decoded += bytes;
+  auto comp = std::make_shared<const Component>(std::move(decoded));
   std::lock_guard<std::mutex> lock(*mu_);
   CachedComponent& slot = comp_cache_[k];
   if (slot.comp == nullptr) {
     slot.comp = std::move(comp);
-    slot.bytes = static_cast<size_t>(dc.length);
+    slot.bytes = bytes;
     Account(slot.bytes);
   }
   slot.last_use = ++use_clock_;
   return slot.comp;
 }
 
-Result<std::shared_ptr<const std::vector<WsdTuple>>> MappedWsdDb::DecodeShard(
-    size_t r, size_t s, bool use_cache, MaterializeStats* stats) {
+Result<std::shared_ptr<const std::vector<WsdTuple>>> MappedWsdDb::LoadShard(
+    size_t r, size_t s, MaterializeStats* stats) {
   const uint64_t key = (static_cast<uint64_t>(r) << 32) | s;
-  if (use_cache) {
+  {
     std::lock_guard<std::mutex> lock(*mu_);
     auto it = shard_cache_.find(key);
     if (it != shard_cache_.end()) {
@@ -334,26 +371,18 @@ Result<std::shared_ptr<const std::vector<WsdTuple>>> MappedWsdDb::DecodeShard(
       return it->second.tuples;
     }
   }
-  const sv3::DirRelation& dr = dir_.relations[r];
-  const sv3::DirShard& ds = dr.shards[s];
-  MAYBMS_ASSIGN_OR_RETURN(
-      std::string_view block,
-      sv3::SliceBlock(rels_payload_, ds.offset, ds.length, ds.checksum,
-                      "shard"));
-  const size_t n = static_cast<size_t>(ds.row_end - ds.row_begin);
-  std::vector<WsdTuple> tuples(n);
-  MAYBMS_RETURN_IF_ERROR(sv3::DecodeShardRecord(
-      block, static_cast<uint32_t>(dr.schema.size()), 0, n, local_strings_,
-      &tuples));
-  stats->bytes_decoded += static_cast<size_t>(ds.length);
+  const sv3::DirShard& ds = dir_.relations[r].shards[s];
+  std::vector<WsdTuple> tuples(static_cast<size_t>(ds.row_end - ds.row_begin));
+  MAYBMS_RETURN_IF_ERROR(DecodeShardBlock(r, s, tuples.data()));
+  const size_t bytes = static_cast<size_t>(ds.length);
+  stats->bytes_decoded += bytes;
   auto decoded =
       std::make_shared<const std::vector<WsdTuple>>(std::move(tuples));
-  if (!use_cache) return decoded;
   std::lock_guard<std::mutex> lock(*mu_);
   CachedShard& slot = shard_cache_[key];
   if (slot.tuples == nullptr) {
     slot.tuples = std::move(decoded);
-    slot.bytes = static_cast<size_t>(ds.length);
+    slot.bytes = bytes;
     Account(slot.bytes);
   }
   slot.last_use = ++use_clock_;
@@ -361,16 +390,25 @@ Result<std::shared_ptr<const std::vector<WsdTuple>>> MappedWsdDb::DecodeShard(
 }
 
 Result<WsdDb> MappedWsdDb::Materialize(
-    const std::vector<std::vector<char>>& keep, bool use_cache) {
+    const std::vector<std::vector<char>>& keep, bool full) {
+  if (full) {
+    // Every block is read anyway, so the whole-section checksums are
+    // verified too: they also cover the padding between blocks, which
+    // no block checksum does.
+    MAYBMS_RETURN_IF_ERROR(VerifySection(comp_));
+    MAYBMS_RETURN_IF_ERROR(VerifySection(rels_));
+  }
   MaterializeStats stats;
-  std::vector<char> comp_needed(dir_.components.size(), 0);
+  // A full materialization keeps every component, referenced or not, so
+  // it reproduces the stored database exactly.
+  std::vector<char> comp_needed(dir_.components.size(), full ? 1 : 0);
   for (size_t r = 0; r < dir_.relations.size(); ++r) {
     stats.shards_total += dir_.relations[r].shards.size();
     for (size_t s = 0; s < dir_.relations[r].shards.size(); ++s) {
       if (!keep[r][s]) continue;
       stats.shards_kept++;
-      for (ComponentId id : partitions_[r].shards[s].ref_components) {
-        comp_needed[comp_index_of_id_.at(id)] = 1;
+      for (ComponentId id : partitions_[r]->shards[s].ref_components) {
+        comp_needed[ComponentIndex(id)] = 1;
       }
     }
   }
@@ -385,42 +423,73 @@ Result<WsdDb> MappedWsdDb::Materialize(
   // the gap budget the directory was validated against.
   for (size_t k = 0; k < dir_.components.size(); ++k) {
     if (!comp_needed[k]) continue;
-    MAYBMS_ASSIGN_OR_RETURN(std::shared_ptr<const Component> comp,
-                            DecodeComponent(k, use_cache, &stats));
-    MAYBMS_RETURN_IF_ERROR(sv3::PlaceComponentAt(&db, dir_.components[k].id,
-                                                 k, Component(*comp)));
+    Component c;
+    if (full) {
+      MAYBMS_ASSIGN_OR_RETURN(c, DecodeComponentBlock(k));
+      stats.components_loaded++;
+      stats.bytes_decoded += static_cast<size_t>(dir_.components[k].length);
+    } else {
+      MAYBMS_ASSIGN_OR_RETURN(std::shared_ptr<const Component> cached,
+                              LoadComponent(k, &stats));
+      c = *cached;
+    }
+    MAYBMS_RETURN_IF_ERROR(
+        sv3::PlaceComponentAt(&db, dir_.components[k].id, k, std::move(c)));
   }
   for (size_t r = 0; r < dir_.relations.size(); ++r) {
     const sv3::DirRelation& dr = dir_.relations[r];
     MAYBMS_RETURN_IF_ERROR(db.CreateRelation(dr.name, dr.schema));
     WsdRelation* rel = db.GetMutableRelation(dr.name).value();
     rel->set_display_name(dr.display);
-    size_t rows = 0;
-    for (size_t s = 0; s < dr.shards.size(); ++s) {
-      if (keep[r][s]) {
-        rows += static_cast<size_t>(dr.shards[s].row_end -
-                                    dr.shards[s].row_begin);
+    std::vector<WsdTuple>& tuples = rel->mutable_tuples();
+    const size_t n_shards = dr.shards.size();
+    if (full) {
+      // Shards are random-access and self-contained: decode them over
+      // the pool, each straight into its rows of the relation.
+      tuples.resize(static_cast<size_t>(dr.n_tuples));
+      std::vector<Status> shard_status(n_shards);
+      ParallelFor(n_shards <= 1 ? 1 : 0, n_shards, [&](size_t s) {
+        shard_status[s] = DecodeShardBlock(
+            r, s, tuples.data() + static_cast<size_t>(dr.shards[s].row_begin));
+      });
+      for (size_t s = 0; s < n_shards; ++s) {
+        MAYBMS_RETURN_IF_ERROR(shard_status[s]);
+        stats.bytes_decoded += static_cast<size_t>(dr.shards[s].length);
+      }
+    } else {
+      size_t rows = 0;
+      for (size_t s = 0; s < n_shards; ++s) {
+        if (keep[r][s]) {
+          rows += static_cast<size_t>(dr.shards[s].row_end -
+                                      dr.shards[s].row_begin);
+        }
+      }
+      tuples.reserve(rows);
+      for (size_t s = 0; s < n_shards; ++s) {
+        if (!keep[r][s]) continue;
+        MAYBMS_ASSIGN_OR_RETURN(std::shared_ptr<const std::vector<WsdTuple>> sh,
+                                LoadShard(r, s, &stats));
+        tuples.insert(tuples.end(), sh->begin(), sh->end());
       }
     }
-    std::vector<WsdTuple>& tuples = rel->mutable_tuples();
-    tuples.reserve(rows);
-    for (size_t s = 0; s < dr.shards.size(); ++s) {
-      if (!keep[r][s]) continue;
-      MAYBMS_ASSIGN_OR_RETURN(std::shared_ptr<const std::vector<WsdTuple>> sh,
-                              DecodeShard(r, s, use_cache, &stats));
-      tuples.insert(tuples.end(), sh->begin(), sh->end());
+    // A relation with every shard kept is the stored one, so the
+    // directory's partition is its shard partition.
+    if (std::all_of(keep[r].begin(), keep[r].end(),
+                    [](char k) { return k != 0; })) {
+      rel->set_cached_shards(partitions_[r]);
     }
   }
   if (meta_.owner_counter > 0) {
     db.BumpOwner(static_cast<OwnerId>(meta_.owner_counter - 1));
   }
   // Restore the component-id allocation point (validated in Open), so a
-  // full materialization replays the WAL exactly like the eager loader.
+  // full materialization allocates ids where the saved database did and
+  // a replayed WAL reproduces them.
   db.PadComponentSlots(static_cast<size_t>(meta_.component_counter));
   MAYBMS_RETURN_IF_ERROR(db.CheckInvariants());
   {
     std::lock_guard<std::mutex> lock(*mu_);
-    if (use_cache) EvictToCap();
+    if (!full) EvictToCap();
     last_stats_ = stats;
   }
   return db;
@@ -444,11 +513,11 @@ Result<WsdDb> MappedWsdDb::MaterializeForPlan(const Plan& plan) {
     }
     keep[r].assign(n_shards, 0);
     for (const std::vector<ColumnBound>& bounds : u.bound_sets) {
-      std::vector<char> mask = PruneShards(partitions_[r], bounds);
+      std::vector<char> mask = PruneShards(*partitions_[r], bounds);
       for (size_t s = 0; s < n_shards; ++s) keep[r][s] |= mask[s];
     }
   }
-  return Materialize(keep, /*use_cache=*/true);
+  return Materialize(keep, /*full=*/false);
 }
 
 Result<WsdDb> MappedWsdDb::MaterializeAll() {
@@ -456,7 +525,7 @@ Result<WsdDb> MappedWsdDb::MaterializeAll() {
   for (size_t r = 0; r < dir_.relations.size(); ++r) {
     keep[r].assign(dir_.relations[r].shards.size(), 1);
   }
-  return Materialize(keep, /*use_cache=*/false);
+  return Materialize(keep, /*full=*/true);
 }
 
 }  // namespace maybms

@@ -1,9 +1,12 @@
 // Out-of-core world-set databases: a v3 snapshot opened as a memory map
 // whose component and shard blocks are materialized lazily.
 //
-// MappedWsdDb::Open verifies the snapshot's eager head (META, STRS and
-// the SDIR shard directory — a few KB) and maps the COMP/RELS payloads
-// without reading them. Queries then call MaterializeForPlan, which
+// MappedWsdDb is the only reader of v3 snapshots: eager loads
+// (LoadWsdDb, ReadWsdDb, LOAD DATABASE) open the image here and call
+// MaterializeAll. Open verifies the snapshot's eager head (META, STRS
+// and the SDIR shard directory — a few KB) and the directory's block
+// bounds and component references, without reading the COMP/RELS
+// payloads. Queries then call MaterializeForPlan, which
 // prunes relation shards against the plan's Select predicates using the
 // per-shard column ranges persisted in SDIR, and decodes only the
 // surviving shards plus the components they reference — each block
@@ -67,13 +70,16 @@ struct MaterializeStats {
 
 class MappedWsdDb {
  public:
-  /// Maps `path` and verifies the eager head. The file must be a
-  /// "MAYBMS-WSD 3" snapshot; v1/v2 files are rejected (load those
-  /// eagerly via LoadWsdDb). `env` (null = Env::Default()) supplies the
-  /// mapping — the seam the fault-injection tests use.
+  /// Maps `path` and opens it as below. `env` (null = Env::Default())
+  /// supplies the mapping — the seam the fault-injection tests use.
   static Result<MappedWsdDb> Open(const std::string& path,
                                   MappedDbOptions options = {},
                                   Env* env = nullptr);
+  /// Takes ownership of `image` and verifies its eager head. The image
+  /// must hold a "MAYBMS-WSD 3" snapshot; v1/v2 ones are rejected with
+  /// kUnsupported (load those eagerly via LoadWsdDb).
+  static Result<MappedWsdDb> Open(std::unique_ptr<RandomAccessImage> image,
+                                  MappedDbOptions options = {});
 
   MappedWsdDb(MappedWsdDb&&) = default;
   MappedWsdDb& operator=(MappedWsdDb&&) = default;
@@ -93,13 +99,21 @@ class MappedWsdDb {
   /// the predicate in every world).
   Result<WsdDb> MaterializeForPlan(const Plan& plan);
 
-  /// Decodes everything (bypassing the cache budget) — the escape hatch
-  /// for statements that need the whole database resident.
+  /// Decodes everything, bypassing the residency cache: what every eager
+  /// load runs, and the escape hatch for statements that need the whole
+  /// database resident. Also verifies the COMP/RELS section checksums,
+  /// decodes shards in parallel straight into their relations, and
+  /// installs each relation's directory partition as its cached shard
+  /// partition.
   Result<WsdDb> MaterializeAll();
 
   /// Per-relation shard partitions reconstructed from SDIR (ranges and
-  /// referenced components per shard), in directory order.
-  const std::vector<ShardPartition>& partitions() const { return partitions_; }
+  /// referenced components per shard), in directory order. A relation
+  /// materialized with every shard shares its entry as cached partition.
+  const std::vector<std::shared_ptr<const ShardPartition>>& partitions()
+      const {
+    return partitions_;
+  }
   /// Components stored in the snapshot.
   size_t num_components() const { return dir_.components.size(); }
 
@@ -140,35 +154,44 @@ class MappedWsdDb {
     uint64_t last_use = 0;
   };
 
+  /// Index into dir_.components of component `id`, or
+  /// dir_.components.size() when the snapshot does not store it.
+  size_t ComponentIndex(ComponentId id) const;
+  /// Verifies (block checksum) and decodes component block `k`.
+  Result<Component> DecodeComponentBlock(size_t k) const;
+  /// Verifies and decodes shard `s` of dir relation `r` into out[0, n),
+  /// n its row count; out holds default-constructed tuples.
+  Status DecodeShardBlock(size_t r, size_t s, WsdTuple* out) const;
   /// Decoded component for dir index `k`, via the cache. The returned
   /// shared_ptr keeps the block alive across evictions.
-  Result<std::shared_ptr<const Component>> DecodeComponent(
-      size_t k, bool use_cache, MaterializeStats* stats);
+  Result<std::shared_ptr<const Component>> LoadComponent(
+      size_t k, MaterializeStats* stats);
   /// Decoded tuples of shard `s` of dir relation `r`, via the cache.
-  Result<std::shared_ptr<const std::vector<WsdTuple>>> DecodeShard(
-      size_t r, size_t s, bool use_cache, MaterializeStats* stats);
+  Result<std::shared_ptr<const std::vector<WsdTuple>>> LoadShard(
+      size_t r, size_t s, MaterializeStats* stats);
   /// Builds a scratch database holding, per dir relation, the tuples of
   /// the shards with keep[r][s] != 0 plus every component they
-  /// reference.
+  /// reference — through the cache, unless `full` (every shard kept):
+  /// then it decodes every block directly and verifies the sections.
   Result<WsdDb> Materialize(const std::vector<std::vector<char>>& keep,
-                            bool use_cache);
+                            bool full);
   void EvictToCap();
   void Account(size_t bytes);
 
   std::unique_ptr<RandomAccessImage> file_;
   snapshotv3::MetaV3 meta_;
+  /// Block locations; each shard's ranges and referenced components
+  /// were moved out into partitions_.
   snapshotv3::SnapshotDirectory dir_;
   /// Per dir relation, the persisted partition (ranges + referenced
   /// components per shard) reconstructed from SDIR.
-  std::vector<ShardPartition> partitions_;
-  /// Component id -> index into dir_.components.
-  std::unordered_map<ComponentId, size_t> comp_index_of_id_;
+  std::vector<std::shared_ptr<const ShardPartition>> partitions_;
   std::vector<uint32_t> local_to_global_;
   /// Pool-stable pointers for the snapshot's string table, materialized
   /// once at Open (the table is part of the eager head).
   std::vector<const std::string*> local_strings_;
-  std::string_view comp_payload_;
-  std::string_view rels_payload_;
+  snapshotv3::SectionView comp_;  ///< COMP: payload aliases file_
+  snapshotv3::SectionView rels_;  ///< RELS: payload aliases file_
   WsdDb skeleton_;
 
   size_t max_resident_bytes_ = 0;  ///< resolved; SIZE_MAX = unlimited

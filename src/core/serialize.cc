@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 
 #include "common/parallel.h"
 #include "common/string_util.h"
+#include "core/mapped_db.h"
 #include "core/snapshot_v3.h"
 #include "storage/snapshot_io.h"
 #include "storage/wal.h"
@@ -28,6 +28,7 @@ constexpr int kBinaryVersionV3 = 3;
 // construction.
 using snapshotv3::kCellRef;
 using snapshotv3::kEndianMark;
+using snapshotv3::kHeaderV3;
 using snapshotv3::kSecComponents;
 using snapshotv3::kSecEnd;
 using snapshotv3::kSecMeta;
@@ -432,9 +433,9 @@ Status ParseRelationsSection(const SnapshotSection& section,
       size_t begin = chunk * kTuplesPerChunk;
       size_t end = std::min(begin + kTuplesPerChunk, n_tuples);
       chunk_status[chunk] =
-          snapshotv3::BuildTupleRange(&tuples, begin, end, n_cols, dep_counts,
-                                      dep_offsets, deps_flat, tags, payloads,
-                                      local_strings);
+          snapshotv3::BuildTupleRange(tuples.data(), begin, end, n_cols,
+                                      dep_counts, dep_offsets, deps_flat, tags,
+                                      payloads, local_strings);
     });
     for (const Status& st : chunk_status) MAYBMS_RETURN_IF_ERROR(st);
   }
@@ -484,6 +485,56 @@ Result<WsdDb> ReadWsdDbBinaryBody(std::istream& in) {
   if (owner_counter > 0) db.BumpOwner(static_cast<OwnerId>(owner_counter - 1));
   MAYBMS_RETURN_IF_ERROR(db.CheckInvariants());
   return db;
+}
+
+// Decodes a v3 image through the one v3 reader; the image is released
+// when the materialized database returns.
+Result<WsdDb> ReadV3Image(std::unique_ptr<RandomAccessImage> image) {
+  MAYBMS_ASSIGN_OR_RETURN(MappedWsdDb mapped,
+                          MappedWsdDb::Open(std::move(image)));
+  return mapped.MaterializeAll();
+}
+
+// Both formats share the "MAYBMS-WSD <version>" header line; the body
+// reader is negotiated from the version number, which also names the
+// format the bytes hold.
+Result<WsdDb> ReadWsdDbStream(std::istream& in, SnapshotFormat* format) {
+  std::string magic;
+  if (!(in >> magic) || magic != kMagic) {
+    return Status::ParseError("expected token '" + std::string(kMagic) +
+                              "', got '" + magic + "'");
+  }
+  long long version;
+  if (!(in >> version)) {
+    return Status::ParseError("expected snapshot version number");
+  }
+  SnapshotFormat ignored;
+  if (format == nullptr) format = &ignored;
+  if (version == kTextVersion) {
+    *format = SnapshotFormat::kText;
+    return ReadWsdDbText(in);
+  }
+  if (version == kBinaryVersion) {
+    *format = SnapshotFormat::kBinaryV2;
+    return ReadWsdDbBinaryBody(in);
+  }
+  if (version == kBinaryVersionV3) {
+    *format = SnapshotFormat::kBinary;
+    if (in.get() != '\n') {
+      return Status::ParseError(
+          "expected newline after binary snapshot header");
+    }
+    // The rest of the stream becomes an in-memory image.
+    std::string bytes = kHeaderV3;
+    char buf[1 << 16];
+    while (in.read(buf, sizeof(buf)), in.gcount() > 0) {
+      bytes.append(buf, static_cast<size_t>(in.gcount()));
+    }
+    if (in.bad()) return Status::IOError("read failure in snapshot stream");
+    return ReadV3Image(NewStringImage(std::move(bytes), "<stream>"));
+  }
+  return Status::Unsupported(
+      StrFormat("unsupported WSD format version %lld", version));
 }
 
 }  // namespace
@@ -633,35 +684,25 @@ Status SaveWsdDb(const WsdDb& db, const std::string& path,
 }
 
 Result<WsdDb> ReadWsdDb(std::istream& in) {
-  // Both formats share the "MAYBMS-WSD <version>" header line; negotiate
-  // the body reader from the version number.
-  std::string magic;
-  if (!(in >> magic) || magic != kMagic) {
-    return Status::ParseError("expected token '" + std::string(kMagic) +
-                              "', got '" + magic + "'");
+  return ReadWsdDbStream(in, nullptr);
+}
+
+Result<WsdDb> ReadWsdDbImage(std::unique_ptr<RandomAccessImage> image,
+                             SnapshotFormat* format) {
+  const std::string_view bytes = image->bytes();
+  if (bytes.substr(0, sizeof(kHeaderV3) - 1) == kHeaderV3) {
+    if (format != nullptr) *format = SnapshotFormat::kBinary;
+    return ReadV3Image(std::move(image));
   }
-  long long version;
-  if (!(in >> version)) {
-    return Status::ParseError("expected snapshot version number");
-  }
-  if (version == kTextVersion) return ReadWsdDbText(in);
-  if (version == kBinaryVersion) return ReadWsdDbBinaryBody(in);
-  if (version == kBinaryVersionV3) return snapshotv3::ReadWsdDbV3Body(in);
-  return Status::Unsupported(
-      StrFormat("unsupported WSD format version %lld", version));
+  std::istringstream in{std::string(bytes)};
+  return ReadWsdDbStream(in, format);
 }
 
 Result<WsdDb> LoadWsdDb(const std::string& path, Env* env) {
-  if (env == nullptr || env == Env::Default()) {
-    // Fast path for the real filesystem: stream straight from the file
-    // instead of staging the whole snapshot in memory first.
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return Status::NotFound("cannot open: " + path);
-    return ReadWsdDb(in);
-  }
-  MAYBMS_ASSIGN_OR_RETURN(std::string bytes, env->ReadFileToString(path));
-  std::istringstream in(std::move(bytes));
-  return ReadWsdDb(in);
+  if (env == nullptr) env = Env::Default();
+  MAYBMS_ASSIGN_OR_RETURN(std::unique_ptr<RandomAccessImage> image,
+                          env->MapFile(path));
+  return ReadWsdDbImage(std::move(image));
 }
 
 }  // namespace maybms

@@ -16,12 +16,13 @@
 //     and horizontal relation shards become self-contained, individually
 //     checksummed blocks whose offsets (plus per-shard pruning stats) are
 //     recorded up front, so a memory-mapped reader (core/mapped_db) can
-//     materialize only the blocks a query touches. Codecs live in
-//     core/snapshot_v3.h.
+//     materialize only the blocks a query touches. That reader decodes
+//     every v3 load; codecs live in core/snapshot_v3.h.
 #ifndef MAYBMS_CORE_SERIALIZE_H_
 #define MAYBMS_CORE_SERIALIZE_H_
 
 #include <iosfwd>
+#include <memory>
 #include <string>
 
 #include "common/result.h"
@@ -75,11 +76,17 @@ Status SaveWsdDb(const WsdDb& db, const std::string& path,
                  SnapshotFormat format = SnapshotFormat::kText,
                  const SaveFileOptions& opts = {});
 
-/// Reads a database written by WriteWsdDb or WriteWsdDbBinary — the
-/// format is negotiated from the header line — and validates invariants.
+/// Reads a database in any of the formats above — the format is
+/// negotiated from the header line — and validates invariants. A v3
+/// body is read to the end of the stream and decoded by MappedWsdDb.
 Result<WsdDb> ReadWsdDb(std::istream& in);
-/// Loads from a file; `env` (null = Env::Default()) is the seam the
-/// fault-injection tests use.
+/// Decodes a whole snapshot image of any version and releases the image:
+/// v3 through MappedWsdDb::MaterializeAll, v1/v2 by their stream readers
+/// over the image's bytes. `format` (if non-null) receives the version.
+Result<WsdDb> ReadWsdDbImage(std::unique_ptr<RandomAccessImage> image,
+                             SnapshotFormat* format = nullptr);
+/// Loads from a file (Env::MapFile + ReadWsdDbImage); `env` (null =
+/// Env::Default()) is the seam the fault-injection tests use.
 Result<WsdDb> LoadWsdDb(const std::string& path, Env* env = nullptr);
 
 }  // namespace maybms

@@ -1,14 +1,11 @@
 #include "core/snapshot_v3.h"
 
 #include <algorithm>
-#include <istream>
 #include <ostream>
 
 #include "common/hash.h"
-#include "common/parallel.h"
 #include "common/string_util.h"
 #include "core/serialize.h"
-#include "storage/value_pool.h"
 
 namespace maybms {
 namespace snapshotv3 {
@@ -153,16 +150,15 @@ Result<std::pair<uint32_t, Component>> DecodeComponentRecord(
   return std::make_pair(id, std::move(c));
 }
 
-Status BuildTupleRange(std::vector<WsdTuple>* tuples, size_t begin,
-                       size_t end, uint32_t n_cols,
-                       const std::vector<uint32_t>& dep_counts,
+Status BuildTupleRange(WsdTuple* tuples, size_t begin, size_t end,
+                       uint32_t n_cols, const std::vector<uint32_t>& dep_counts,
                        const std::vector<uint64_t>& dep_offsets,
                        const std::vector<uint64_t>& deps_flat,
                        const std::vector<uint8_t>& tags,
                        const std::vector<uint64_t>& payloads,
                        const std::vector<const std::string*>& local_strings) {
   for (size_t t_i = begin; t_i < end; ++t_i) {
-    WsdTuple& t = (*tuples)[t_i];
+    WsdTuple& t = tuples[t_i];
     size_t dep_pos = static_cast<size_t>(dep_offsets[t_i]);
     t.deps.reserve(dep_counts[t_i]);
     for (uint32_t d = 0; d < dep_counts[t_i]; ++d) {
@@ -260,11 +256,9 @@ void AppendShardRecord(const WsdRelation& rel, size_t row_begin,
   PutArray(out, payloads);
 }
 
-Status DecodeShardRecord(std::string_view block, uint32_t n_cols,
-                         size_t row_begin, size_t row_end,
+Status DecodeShardRecord(std::string_view block, uint32_t n_cols, size_t n,
                          const std::vector<const std::string*>& local_strings,
-                         std::vector<WsdTuple>* tuples) {
-  const size_t n = row_end - row_begin;
+                         WsdTuple* out) {
   SnapshotCursor cur(block);
   std::vector<uint32_t> dep_counts;
   MAYBMS_RETURN_IF_ERROR(cur.ReadArray(n, &dep_counts));
@@ -293,14 +287,8 @@ Status DecodeShardRecord(std::string_view block, uint32_t n_cols,
   if (cur.remaining() >= 8) {
     return Status::ParseError("trailing bytes in snapshot shard block");
   }
-  std::vector<WsdTuple> local(n);
-  MAYBMS_RETURN_IF_ERROR(BuildTupleRange(&local, 0, n, n_cols, dep_counts,
-                                         dep_offsets, deps_flat, tags,
-                                         payloads, local_strings));
-  for (size_t i = 0; i < n; ++i) {
-    (*tuples)[row_begin + i] = std::move(local[i]);
-  }
-  return Status::OK();
+  return BuildTupleRange(out, 0, n, n_cols, dep_counts, dep_offsets,
+                         deps_flat, tags, payloads, local_strings);
 }
 
 // --- shard directory -------------------------------------------------------
@@ -512,162 +500,13 @@ void PadTo8(std::string* s) {
   while (s->size() % 8 != 0) s->push_back('\0');
 }
 
-Result<SnapshotSection> ReadSectionExpecting(std::istream& in, uint32_t tag) {
-  MAYBMS_ASSIGN_OR_RETURN(SnapshotSection s, ReadSnapshotSection(in));
-  if (s.tag != tag) {
-    return Status::ParseError(
-        StrFormat("expected snapshot section %s, got %s",
-                  SnapshotTagName(tag).c_str(),
-                  SnapshotTagName(s.tag).c_str()));
-  }
-  return s;
-}
-
-/// Reconstructs the relation's cached ShardPartition from directory
-/// entries so a freshly loaded database answers EXPLAIN shard-pruning
-/// questions without a recompute.
-std::shared_ptr<const ShardPartition> PartitionFromDir(
-    const DirRelation& dr, uint64_t rows_per_shard) {
-  auto part = std::make_shared<ShardPartition>();
-  part->rows_per_shard =
-      rows_per_shard == 0
-          ? std::max<size_t>(static_cast<size_t>(dr.n_tuples), 1)
-          : static_cast<size_t>(rows_per_shard);
-  part->shards.reserve(dr.shards.size());
-  for (const DirShard& ds : dr.shards) {
-    ShardInfo info;
-    info.row_begin = static_cast<size_t>(ds.row_begin);
-    info.row_end = static_cast<size_t>(ds.row_end);
-    info.ranges = ds.ranges;
-    info.ref_components = ds.ref_components;
-    part->shards.push_back(std::move(info));
-  }
-  return part;
-}
-
 }  // namespace
-
-Result<WsdDb> ReadWsdDbV3Body(std::istream& in) {
-  if (in.get() != '\n') {
-    return Status::ParseError("expected newline after binary snapshot header");
-  }
-  MAYBMS_ASSIGN_OR_RETURN(SnapshotSection meta_sec,
-                          ReadSectionExpecting(in, kSecMeta));
-  MAYBMS_ASSIGN_OR_RETURN(MetaV3 meta, ParseMetaV3(meta_sec.payload));
-
-  MAYBMS_ASSIGN_OR_RETURN(SnapshotSection strs,
-                          ReadSectionExpecting(in, kSecStrings));
-  MAYBMS_ASSIGN_OR_RETURN(std::vector<uint32_t> local_to_global,
-                          SnapshotStringTable::Restore(strs.payload));
-
-  MAYBMS_ASSIGN_OR_RETURN(SnapshotSection sdir,
-                          ReadSectionExpecting(in, kSecShardDir));
-  MAYBMS_ASSIGN_OR_RETURN(SnapshotDirectory dir,
-                          ParseDirectory(sdir.payload));
-
-  MAYBMS_ASSIGN_OR_RETURN(SnapshotSection comp,
-                          ReadSectionExpecting(in, kSecComponents));
-  MAYBMS_ASSIGN_OR_RETURN(SnapshotSection rels,
-                          ReadSectionExpecting(in, kSecRelations));
-  MAYBMS_ASSIGN_OR_RETURN(SnapshotSection end,
-                          ReadSectionExpecting(in, kSecEnd));
-  if (!end.payload.empty()) {
-    return Status::ParseError("snapshot END section carries payload");
-  }
-
-  WsdDb db;
-  db.mutable_options().max_component_rows =
-      static_cast<size_t>(meta.max_component_rows);
-  db.mutable_options().rows_per_shard =
-      static_cast<size_t>(meta.rows_per_shard);
-
-  for (size_t k = 0; k < dir.components.size(); ++k) {
-    const DirComponent& dc = dir.components[k];
-    MAYBMS_ASSIGN_OR_RETURN(
-        std::string_view block,
-        SliceBlock(comp.payload, dc.offset, dc.length, dc.checksum,
-                   "component"));
-    SnapshotCursor cur(block);
-    MAYBMS_ASSIGN_OR_RETURN(auto decoded,
-                            DecodeComponentRecord(&cur, local_to_global));
-    if (!cur.AtEnd()) {
-      return Status::ParseError("trailing bytes in snapshot component block");
-    }
-    if (decoded.first != dc.id ||
-        decoded.second.NumSlots() != dc.n_slots ||
-        decoded.second.NumRows() != dc.n_rows) {
-      return Status::ParseError(
-          "snapshot component block disagrees with its directory entry");
-    }
-    MAYBMS_RETURN_IF_ERROR(
-        PlaceComponentAt(&db, dc.id, k, std::move(decoded.second)));
-  }
-
-  // Materialize pool references once per distinct string: tuple builders
-  // then read them without touching the pool's mutex per cell.
-  std::vector<const std::string*> local_strings;
-  local_strings.reserve(local_to_global.size());
-  {
-    ValuePool& pool = ValuePool::Global();
-    for (uint32_t gid : local_to_global) {
-      local_strings.push_back(&pool.Get(gid));
-    }
-  }
-  for (const DirRelation& dr : dir.relations) {
-    MAYBMS_RETURN_IF_ERROR(db.CreateRelation(dr.name, dr.schema));
-    WsdRelation* rel = db.GetMutableRelation(dr.name).value();
-    rel->set_display_name(dr.display);
-    std::vector<WsdTuple>& tuples = rel->mutable_tuples();
-    tuples.resize(static_cast<size_t>(dr.n_tuples));
-    const uint32_t n_cols = static_cast<uint32_t>(dr.schema.size());
-    // Shards are random-access and self-contained — decode them over the
-    // pool, one task per shard.
-    const size_t n_shards = dr.shards.size();
-    std::vector<Status> shard_status(n_shards);
-    ParallelFor(n_shards <= 1 ? 1 : 0, n_shards, [&](size_t s) {
-      const DirShard& ds = dr.shards[s];
-      Result<std::string_view> block = SliceBlock(
-          rels.payload, ds.offset, ds.length, ds.checksum, "shard");
-      if (!block.ok()) {
-        shard_status[s] = block.status();
-        return;
-      }
-      shard_status[s] = DecodeShardRecord(
-          *block, n_cols, static_cast<size_t>(ds.row_begin),
-          static_cast<size_t>(ds.row_end), local_strings, &tuples);
-    });
-    for (const Status& st : shard_status) MAYBMS_RETURN_IF_ERROR(st);
-    rel->set_cached_shards(PartitionFromDir(dr, meta.rows_per_shard));
-  }
-  if (meta.owner_counter > 0) {
-    db.BumpOwner(static_cast<OwnerId>(meta.owner_counter - 1));
-  }
-  // Restore the component-id allocation point (trailing dead slots carry
-  // no payload, only the counter). Older snapshots have 0 here and keep
-  // the "highest id present + 1" behavior.
-  if (meta.component_counter > 0) {
-    if (meta.component_counter < db.component_slot_count()) {
-      return Status::ParseError(
-          StrFormat("snapshot component counter %llu out of range",
-                    static_cast<unsigned long long>(meta.component_counter)));
-    }
-    if (db.component_span() > 0) {
-      MAYBMS_RETURN_IF_ERROR(CheckIdGaps(
-          db.component_slot_count() - db.component_span(),
-          static_cast<size_t>(meta.component_counter),
-          dir.components.size()));
-    }
-    db.PadComponentSlots(static_cast<size_t>(meta.component_counter));
-  }
-  MAYBMS_RETURN_IF_ERROR(db.CheckInvariants());
-  return db;
-}
 
 }  // namespace snapshotv3
 
 Status WriteWsdDbBinaryV3(const WsdDb& db, std::ostream& out) {
   namespace sv3 = snapshotv3;
-  out << "MAYBMS-WSD 3\n";
+  out << sv3::kHeaderV3;
   SnapshotStringTable strings;
   sv3::SnapshotDirectory dir;
 

@@ -13,15 +13,15 @@
 //     streams, so a memory-mapped reader can verify and materialize one
 //     block without touching the rest of the file.
 //
-// The eager reader here fully verifies section and block checksums; the
-// mapped reader (core/mapped_db) verifies META/STRS/SDIR eagerly and
-// each COMP/RELS block on first materialization.
+// The one v3 reader is core/mapped_db: it verifies META/STRS/SDIR at
+// open and each COMP/RELS block on first materialization; a full
+// materialization (every eager load) also verifies the COMP/RELS
+// section checksums.
 #ifndef MAYBMS_CORE_SNAPSHOT_V3_H_
 #define MAYBMS_CORE_SNAPSHOT_V3_H_
 
 #include <cstdint>
 #include <cstring>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -103,14 +103,13 @@ void AppendComponentRecord(const WsdDb& db, ComponentId id,
 Result<std::pair<uint32_t, Component>> DecodeComponentRecord(
     SnapshotCursor* cur, const std::vector<uint32_t>& local_to_global);
 
-/// Builds the tuples [begin, end) of one relation from the bulk arrays.
-/// Each tuple's dependency range starts at dep_offsets[t]; cells for
-/// tuple t occupy tags/payloads[t*n_cols ... t*n_cols+n_cols). Runs on
-/// worker threads — inputs are shared read-only, each index writes only
-/// its own tuple slot.
-Status BuildTupleRange(std::vector<WsdTuple>* tuples, size_t begin,
-                       size_t end, uint32_t n_cols,
-                       const std::vector<uint32_t>& dep_counts,
+/// Builds tuples[begin, end) (default-constructed on entry) from the
+/// bulk arrays. Each tuple's dependency range starts at dep_offsets[t];
+/// cells for tuple t occupy tags/payloads[t*n_cols ... t*n_cols+n_cols).
+/// Runs on worker threads — inputs are shared read-only, each index
+/// writes only its own tuple slot.
+Status BuildTupleRange(WsdTuple* tuples, size_t begin, size_t end,
+                       uint32_t n_cols, const std::vector<uint32_t>& dep_counts,
                        const std::vector<uint64_t>& dep_offsets,
                        const std::vector<uint64_t>& deps_flat,
                        const std::vector<uint8_t>& tags,
@@ -124,14 +123,17 @@ void AppendShardRecord(const WsdRelation& rel, size_t row_begin,
                        size_t row_end, SnapshotStringTable* strings,
                        std::string* out);
 
-/// Decodes one shard record into tuples[row_begin..row_end) (the vector
-/// must already be sized). The record must span exactly `block`.
-Status DecodeShardRecord(std::string_view block, uint32_t n_cols,
-                         size_t row_begin, size_t row_end,
+/// Decodes one shard record of `n` tuples into out[0, n), which must
+/// hold default-constructed tuples (e.g. a slice of a sized relation
+/// vector). The record must span exactly `block`.
+Status DecodeShardRecord(std::string_view block, uint32_t n_cols, size_t n,
                          const std::vector<const std::string*>& local_strings,
-                         std::vector<WsdTuple>* tuples);
+                         WsdTuple* out);
 
 // --- v3 shard directory ----------------------------------------------------
+
+/// The v3 header line, newline included.
+constexpr char kHeaderV3[] = "MAYBMS-WSD 3\n";
 
 /// Directory entry for one component block inside the COMP payload.
 struct DirComponent {
@@ -214,10 +216,6 @@ struct SectionView {
 /// Splits the bytes after the "MAYBMS-WSD 3\n" header line into section
 /// views (framing only — callers verify the checksums they rely on).
 Result<std::vector<SectionView>> WalkSnapshotSections(std::string_view body);
-
-/// Reads the v3 binary body (everything after "MAYBMS-WSD 3") from a
-/// stream, fully verifying every section and block checksum.
-Result<WsdDb> ReadWsdDbV3Body(std::istream& in);
 
 }  // namespace snapshotv3
 }  // namespace maybms

@@ -1,7 +1,6 @@
 #include "sql/session.h"
 
 #include <cmath>
-#include <sstream>
 
 #include "chase/enforce.h"
 #include "common/hash.h"
@@ -428,125 +427,93 @@ Result<StatementResult> Session::RunSaveDb(const SaveDbStmt& stmt) {
 }
 
 Result<StatementResult> Session::RunLoadDb(const LoadDbStmt& stmt) {
-  StatementResult result;
   const std::string wal_path = wal::WalPathFor(stmt.path);
-
+  const bool durable = options_.durability.wal_enabled;
+  // The snapshot is mapped once: a durable load fingerprints that view
+  // to match the log against it, then the image is either kept (MAPPED)
+  // or materialized whole and released. All fallible work (decode, log
+  // scan and replay, snapshot rewrite, log reset) happens before the
+  // catalog swap, so a failed LOAD leaves the session untouched.
+  MAYBMS_ASSIGN_OR_RETURN(std::unique_ptr<RandomAccessImage> image,
+                          env()->MapFile(stmt.path));
+  const uint64_t fingerprint =
+      durable ? wal::SnapshotFingerprint(image->bytes()) : 0;
+  std::optional<MappedWsdDb> mapped;
+  WsdDb loaded;
+  // Future checkpoints rewrite the snapshot in the format it holds now.
+  SnapshotFormat format = SnapshotFormat::kBinary;
   if (stmt.mapped) {
-    MAYBMS_ASSIGN_OR_RETURN(MappedWsdDb mapped,
-                            MappedWsdDb::Open(stmt.path, {}, env()));
-    size_t pending_records = 0;
-    if (options_.durability.wal_enabled) {
-      const uint64_t fingerprint =
-          wal::SnapshotFingerprint(mapped.snapshot_view());
-      Result<wal::WalContents> contents = wal::ReadWal(env(), wal_path);
-      if (contents.ok() && contents->usable &&
-          contents->snapshot_fingerprint == fingerprint &&
-          !contents->records.empty()) {
-        // The log is newer than the snapshot: a mapped open cannot apply
-        // it lazily, so materialize, replay, rewrite the snapshot
-        // (folding the log in) and re-map the now-current file. The
-        // catalog is swapped only at the end, so a failure on the way
-        // leaves the session untouched (a half-written snapshot's stale
-        // log is ignored by the fingerprint check next time).
-        MAYBMS_ASSIGN_OR_RETURN(WsdDb full, mapped.MaterializeAll());
-        bool fold_now = false;  // folded below either way
-        MAYBMS_RETURN_IF_ERROR(ReplayWal(contents->records, &full, &fold_now));
-        pending_records = contents->records.size();
-        attach_.reset();
-        MAYBMS_ASSIGN_OR_RETURN(
-            uint64_t fp,
-            WriteSnapshot(full, stmt.path, SnapshotFormat::kBinary, nullptr));
-        MAYBMS_ASSIGN_OR_RETURN(mapped,
-                                MappedWsdDb::Open(stmt.path, {}, env()));
-        MAYBMS_ASSIGN_OR_RETURN(
-            wal::WalWriter writer,
-            wal::WalWriter::Create(env(), wal_path, fp, /*base_lsn=*/1));
-        DurableAttachment a;
-        a.db_path = stmt.path;
-        a.wal_path = wal_path;
-        a.format = SnapshotFormat::kBinary;
-        a.writer.emplace(std::move(writer));
-        attach_.emplace(std::move(a));
-      } else {
-        MAYBMS_RETURN_IF_ERROR(AttachForLoad(stmt.path, wal_path, fingerprint,
-                                             SnapshotFormat::kBinary,
-                                             contents));
+    MAYBMS_ASSIGN_OR_RETURN(mapped, MappedWsdDb::Open(std::move(image)));
+  } else {
+    MAYBMS_ASSIGN_OR_RETURN(loaded, ReadWsdDbImage(std::move(image), &format));
+  }
+
+  Result<wal::WalContents> contents = Status::NotFound("durability off");
+  size_t replayed = 0;
+  bool fold_now = false;
+  if (durable) {
+    contents = wal::ReadWal(env(), wal_path);
+    // A mapped open cannot apply a log lazily: pending records make it
+    // materialize everything, replay, and fold the log in below.
+    if (contents.ok() && contents->usable &&
+        contents->snapshot_fingerprint == fingerprint &&
+        (!mapped || !contents->records.empty())) {
+      if (mapped) {
+        MAYBMS_ASSIGN_OR_RETURN(loaded, mapped->MaterializeAll());
       }
+      MAYBMS_RETURN_IF_ERROR(ReplayWal(contents->records, &loaded, &fold_now));
+      replayed = contents->records.size();
     }
+  }
+  attach_.reset();
+  if (mapped && replayed > 0) {
+    // Rewrite the snapshot and re-map the now-current file under a fresh
+    // log (a half-written snapshot's stale log is ignored by the
+    // fingerprint check next time).
+    MAYBMS_ASSIGN_OR_RETURN(
+        uint64_t fp,
+        WriteSnapshot(loaded, stmt.path, SnapshotFormat::kBinary, nullptr));
+    MAYBMS_ASSIGN_OR_RETURN(mapped, MappedWsdDb::Open(stmt.path, {}, env()));
+    MAYBMS_ASSIGN_OR_RETURN(
+        wal::WalWriter writer,
+        wal::WalWriter::Create(env(), wal_path, fp, /*base_lsn=*/1));
+    DurableAttachment a;
+    a.db_path = stmt.path;
+    a.wal_path = wal_path;
+    a.format = SnapshotFormat::kBinary;
+    a.writer.emplace(std::move(writer));
+    attach_.emplace(std::move(a));
+  } else if (durable) {
+    MAYBMS_RETURN_IF_ERROR(
+        AttachForLoad(stmt.path, wal_path, fingerprint, format, contents));
+  }
+
+  StatementResult result;
+  if (mapped) {
     size_t shards = 0;
-    for (const auto& part : mapped.partitions()) {
-      shards += part.shards.size();
-    }
+    for (const auto& part : mapped->partitions()) shards += part->shards.size();
     // The resident catalog becomes the schema-only skeleton so that
     // SHOW TABLES / planning keep working without touching data.
-    db_ = mapped.skeleton();
+    db_ = mapped->skeleton();
     result.message = StrFormat(
         "mapped database from '%s': %zu relation(s), %zu shard(s), "
         "%zu component(s), %s on disk",
         stmt.path.c_str(), db_.relations().size(), shards,
-        mapped.num_components(), FormatBytes(mapped.snapshot_bytes()).c_str());
-    if (pending_records > 0) {
-      result.message += StrFormat("; recovered %zu statement(s) from '%s'",
-                                  pending_records, wal_path.c_str());
-    }
-    mapped_.emplace(std::move(mapped));
-    return result;
-  }
-
-  if (!options_.durability.wal_enabled) {
-    MAYBMS_ASSIGN_OR_RETURN(WsdDb loaded, LoadWsdDb(stmt.path, env()));
-    // Swap the session catalog only after a fully validated load, so a
-    // failed LOAD DATABASE leaves the current database untouched.
+        mapped->num_components(),
+        FormatBytes(mapped->snapshot_bytes()).c_str());
+    mapped_.emplace(std::move(*mapped));
+  } else {
     db_ = std::move(loaded);
     mapped_.reset();
-    attach_.reset();
+    // A legacy log, or a failing last record, must not stay live: a new
+    // record appended behind it would turn it into a corrupt middle one.
+    if (fold_now) CheckpointOrDetach();
     result.message = StrFormat(
         "loaded database from '%s': %zu relation(s), %zu component(s), "
         "2^%.4g choice combinations",
         stmt.path.c_str(), db_.relations().size(), db_.NumLiveComponents(),
         db_.Log2WorldCount());
-    return result;
   }
-
-  // Durable eager load: snapshot bytes are read once and reused for both
-  // decoding and the WAL fingerprint; all fallible work (snapshot read,
-  // log scan and replay, torn-tail repair, log reset) happens before the
-  // catalog swap, so a failed LOAD leaves the session untouched.
-  MAYBMS_ASSIGN_OR_RETURN(std::string bytes,
-                          env()->ReadFileToString(stmt.path));
-  const uint64_t fingerprint = wal::SnapshotFingerprint(bytes);
-  // Future checkpoints rewrite the snapshot in the format it holds now.
-  SnapshotFormat format = SnapshotFormat::kBinary;
-  if (bytes.rfind("MAYBMS-WSD 1", 0) == 0) format = SnapshotFormat::kText;
-  if (bytes.rfind("MAYBMS-WSD 2", 0) == 0) format = SnapshotFormat::kBinaryV2;
-  WsdDb loaded;
-  {
-    std::istringstream in(std::move(bytes));
-    MAYBMS_ASSIGN_OR_RETURN(loaded, ReadWsdDb(in));
-  }
-  Result<wal::WalContents> contents = wal::ReadWal(env(), wal_path);
-  size_t replayed = 0;
-  bool fold_now = false;
-  if (contents.ok() && contents->usable &&
-      contents->snapshot_fingerprint == fingerprint) {
-    MAYBMS_RETURN_IF_ERROR(ReplayWal(contents->records, &loaded, &fold_now));
-    replayed = contents->records.size();
-  }
-  attach_.reset();
-  MAYBMS_RETURN_IF_ERROR(
-      AttachForLoad(stmt.path, wal_path, fingerprint, format, contents));
-
-  db_ = std::move(loaded);
-  mapped_.reset();
-  // A legacy log, or a failing last record, must not stay live: a new
-  // record appended behind it would turn it into a corrupt middle one.
-  if (fold_now) CheckpointOrDetach();
-
-  result.message = StrFormat(
-      "loaded database from '%s': %zu relation(s), %zu component(s), "
-      "2^%.4g choice combinations",
-      stmt.path.c_str(), db_.relations().size(), db_.NumLiveComponents(),
-      db_.Log2WorldCount());
   if (replayed > 0) {
     result.message += StrFormat("; recovered %zu statement(s) from '%s'",
                                 replayed, wal_path.c_str());

@@ -279,6 +279,11 @@ class StringImage : public RandomAccessImage {
 
 }  // namespace
 
+std::unique_ptr<RandomAccessImage> NewStringImage(std::string bytes,
+                                                  std::string path) {
+  return std::make_unique<StringImage>(std::move(bytes), std::move(path));
+}
+
 Status FaultInjectingEnv::OnOp(const char* what, const std::string& path) {
   if (crashed_) {
     return Status::IOError(
@@ -349,8 +354,7 @@ Result<std::unique_ptr<RandomAccessImage>> FaultInjectingEnv::MapFile(
   if (it == live_.end()) {
     return Status::NotFound(StrFormat("map '%s': no such file", path.c_str()));
   }
-  return std::unique_ptr<RandomAccessImage>(
-      new StringImage(it->second->synced + it->second->unsynced, path));
+  return NewStringImage(it->second->synced + it->second->unsynced, path);
 }
 
 bool FaultInjectingEnv::FileExists(const std::string& path) {

@@ -49,6 +49,11 @@ class RandomAccessImage {
   virtual const std::string& path() const = 0;
 };
 
+/// An image over bytes held in memory (a stream's contents, the
+/// fault-injection filesystem's files); `path` only labels errors.
+std::unique_ptr<RandomAccessImage> NewStringImage(std::string bytes,
+                                                  std::string path);
+
 /// The injectable filesystem interface. All paths are plain strings;
 /// implementations are not required to canonicalize them, so callers
 /// must use one spelling per file.

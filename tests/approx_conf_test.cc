@@ -208,6 +208,37 @@ TEST(ApproxConfTest, IntervalContainsExactOnSharedGroup) {
   EXPECT_GT(stats.total_samples + stats.total_states, 0u);
 }
 
+TEST(ApproxConfTest, EnumeratedMassRoundingAboveOneKeepsIntervalsOrdered) {
+  // One or-set whose four alternatives all hold the same value: the
+  // tuple is certain, but its enumerated mass sums left to right as
+  // ((0.2 + 0.4) + 0.3) + 0.1 = 1.0000000000000002. Four states exceed
+  // the exact-state limit, so the anytime path enumerates them in one
+  // round and brackets the tuple with the rounded mass; the interval
+  // must still satisfy lo <= conf <= hi <= 1.
+  ASSERT_GT(((0.2 + 0.4) + 0.3) + 0.1, 1.0);
+  WsdDb db;
+  MAYBMS_ASSERT_OK(
+      db.CreateRelation("r", Schema({{"v", ValueType::kString}})));
+  const Value x = Value::String("x");
+  MAYBMS_ASSERT_OK(
+      InsertTuple(&db, "r",
+                  {CellSpec::OrSet({{x, 0.2}, {x, 0.4}, {x, 0.3}, {x, 0.1}})})
+          .status());
+  ApproxOptions opt;
+  opt.member_marginals = false;
+  opt.exact_state_limit = 2;
+  opt.enum_chunk = 4;
+  auto approx = ApproxConfTable(db, "r", opt, nullptr);
+  ASSERT_TRUE(approx.ok()) << approx.status().ToString();
+  auto am = IntervalMap(*approx);
+  ASSERT_EQ(am.size(), 1u);
+  const IntervalRow& iv = am.begin()->second;
+  EXPECT_LE(iv.lo, iv.conf);
+  EXPECT_LE(iv.conf, iv.hi);
+  EXPECT_LE(iv.hi, 1.0);
+  EXPECT_NEAR(iv.conf, 1.0, 1e-12);
+}
+
 TEST(ApproxConfTest, BracketSoundnessAtEveryStep) {
   // Property test of the deterministic bounds: at every prefix of the
   // odometer scan, every vector's exact in-cluster mass lies inside

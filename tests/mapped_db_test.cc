@@ -6,8 +6,12 @@
 // like the eagerly loaded database, whatever the cache budget.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "core/builder.h"
 #include "core/mapped_db.h"
@@ -328,6 +332,146 @@ TEST(MappedSqlTest, EagerLoadDropsMapping) {
   auto r = s.Execute("SELECT ECOUNT() FROM people WHERE id >= 0");
   ASSERT_TRUE(r.ok());
   EXPECT_NEAR(r->table.rows()[0][0].as_double(), 64.0, 1e-9);
+}
+
+// A one-slot, one-row component owned by `owner`.
+Component OneRowComponent(OwnerId owner) {
+  Component c;
+  c.AddSlot({owner, "spare"}, Value::Null());
+  EXPECT_TRUE(c.AddRow({{Value::Int(1)}, 1.0}).ok());
+  return c;
+}
+
+// `got` must be `want` exactly, allocate the same next component id,
+// and — when fully materialized by a load — carry the directory's
+// partition as every relation's cached shard partition.
+void ExpectSameLoad(const WsdDb& want, const WsdDb& got,
+                    const MappedWsdDb* dir, const std::string& how) {
+  SCOPED_TRACE(how);
+  testing_util::ExpectDbsExactlyEqual(want, got);
+  EXPECT_EQ(got.component_slot_count(), want.component_slot_count());
+  WsdDb a = want;
+  WsdDb b = got;
+  EXPECT_EQ(a.AddComponent(OneRowComponent(1)),
+            b.AddComponent(OneRowComponent(1)));
+  if (dir == nullptr) return;
+  size_t r = 0;
+  for (const auto& [key, skel] : dir->skeleton().relations()) {
+    const ShardPartition& stored = *dir->partitions()[r++];
+    auto rel = got.GetRelation(skel.name());
+    ASSERT_TRUE(rel.ok()) << skel.name();
+    std::shared_ptr<const ShardPartition> cached = (*rel)->cached_shards();
+    ASSERT_NE(cached, nullptr) << skel.name();
+    EXPECT_EQ(cached->rows_per_shard, stored.rows_per_shard);
+    ASSERT_EQ(cached->shards.size(), stored.shards.size()) << skel.name();
+    for (size_t s = 0; s < stored.shards.size(); ++s) {
+      const ShardInfo& x = cached->shards[s];
+      const ShardInfo& y = stored.shards[s];
+      EXPECT_EQ(x.row_begin, y.row_begin);
+      EXPECT_EQ(x.row_end, y.row_end);
+      EXPECT_EQ(x.ref_components, y.ref_components);
+      ASSERT_EQ(x.ranges.size(), y.ranges.size());
+      for (size_t c = 0; c < y.ranges.size(); ++c) {
+        EXPECT_EQ(x.ranges[c].valid, y.ranges[c].valid);
+        if (y.ranges[c].valid) {
+          EXPECT_EQ(x.ranges[c].lo, y.ranges[c].lo);
+          EXPECT_EQ(x.ranges[c].hi, y.ranges[c].hi);
+        }
+      }
+    }
+  }
+}
+
+// Every v3 load decodes through MappedWsdDb, so all five ways of
+// opening one snapshot must land on the same database.
+TEST(MappedSqlTest, EveryLoadPathYieldsTheSameDatabase) {
+  WsdDb db = BuildShardedDb();
+  // A live component no tuple references, and a dead id above every
+  // live one: the allocation point lies past the highest stored id.
+  db.AddComponent(OneRowComponent(db.NextOwner()));
+  db.RemoveComponent(db.AddComponent(OneRowComponent(db.NextOwner())));
+  MAYBMS_ASSERT_OK(db.CheckInvariants());
+  // Per-process names: ctest runs this binary twice at once (as
+  // mapped_db_test and mapped_small_ram), and this test writes logs.
+  const std::string stem = "mapped_paths_" + std::to_string(getpid());
+  const std::string path = SaveV3(db, stem + ".wsd");
+  const std::string copy = ::testing::TempDir() + "/" + stem + "_copy.wsd";
+  auto dir = MappedWsdDb::Open(path);
+  ASSERT_TRUE(dir.ok()) << dir.status().ToString();
+
+  // 1. LoadWsdDb.
+  auto loaded = LoadWsdDb(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectSameLoad(db, *loaded, &*dir, "LoadWsdDb");
+
+  // 2. ReadWsdDb on a stringstream.
+  std::stringstream ss;
+  ss << std::ifstream(path, std::ios::binary).rdbuf();
+  auto read = ReadWsdDb(ss);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ExpectSameLoad(db, *read, &*dir, "ReadWsdDb");
+
+  // 3. Durable LOAD DATABASE (attaches an empty log to the snapshot).
+  {
+    Session durable;
+    MAYBMS_ASSERT_OK(durable.Execute("LOAD DATABASE '" + path + "'").status());
+    ASSERT_TRUE(durable.has_durable_attachment());
+    ExpectSameLoad(db, durable.db(), &*dir, "durable LOAD");
+  }
+
+  // 4. LOAD ... MAPPED promoted by an INSERT, against an eager LOAD
+  // plus the same INSERT.
+  const std::string insert =
+      "INSERT INTO people VALUES (64, {'kyiv': 0.5, 'oslo': 0.5}, 3)";
+  Session eager;
+  Session promoted;
+  for (Session* s : {&eager, &promoted}) {
+    s->mutable_options().durability.wal_enabled = false;
+  }
+  MAYBMS_ASSERT_OK(eager.Execute("LOAD DATABASE '" + path + "'").status());
+  MAYBMS_ASSERT_OK(eager.Execute(insert).status());
+  MAYBMS_ASSERT_OK(
+      promoted.Execute("LOAD DATABASE '" + path + "' MAPPED").status());
+  ASSERT_TRUE(promoted.is_mapped());
+  MAYBMS_ASSERT_OK(promoted.Execute(insert).status());
+  ASSERT_FALSE(promoted.is_mapped());
+  ExpectSameLoad(eager.db(), promoted.db(), nullptr, "MAPPED + INSERT");
+
+  // 5. LOAD ... MAPPED over a pending log, against an eager LOAD of a
+  // copy of the same snapshot and log.
+  {
+    Session writer;
+    MAYBMS_ASSERT_OK(writer.Execute("LOAD DATABASE '" + path + "'").status());
+    MAYBMS_ASSERT_OK(writer.Execute(insert).status());
+    MAYBMS_ASSERT_OK(
+        writer.Execute("DELETE FROM people OLDEST 3").status());
+    EXPECT_EQ(writer.wal_record_count(), 2u);
+  }
+  for (const std::string& suffix : {std::string(), std::string(".wal")}) {
+    std::filesystem::copy_file(
+        path + suffix, copy + suffix,
+        std::filesystem::copy_options::overwrite_existing);
+  }
+  Session recovered;
+  auto le = recovered.Execute("LOAD DATABASE '" + copy + "'");
+  MAYBMS_ASSERT_OK(le.status());
+  EXPECT_NE(le->message.find("recovered 2 statement(s)"), std::string::npos);
+  Session folded;
+  auto lm = folded.Execute("LOAD DATABASE '" + path + "' MAPPED");
+  MAYBMS_ASSERT_OK(lm.status());
+  EXPECT_NE(lm->message.find("recovered 2 statement(s)"), std::string::npos);
+  ASSERT_TRUE(folded.is_mapped());
+  EXPECT_EQ(folded.wal_record_count(), 0u);
+  // The session now maps the rewritten snapshot; decode that file whole.
+  auto rewritten = MappedWsdDb::Open(path);
+  ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
+  EXPECT_EQ(rewritten->snapshot_bytes(), folded.mapped_db()->snapshot_bytes());
+  auto all = rewritten->MaterializeAll();
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  ExpectSameLoad(recovered.db(), *all, &*rewritten, "MAPPED + pending log");
+  for (const std::string& p : {path, path + ".wal", copy, copy + ".wal"}) {
+    std::filesystem::remove(p);
+  }
 }
 
 }  // namespace

@@ -268,33 +268,44 @@ TEST(SerializeBinaryTest, LoadedDbSupportsFurtherOperations) {
   MAYBMS_ASSERT_OK(back->CheckInvariants());
 }
 
-TEST(SerializeBinaryTest, EveryTruncationFailsCleanly) {
+// The medical example in both binary formats: v2 through its stream
+// reader, v3 through MappedWsdDb (small shards, so the v3 file has
+// several blocks and the padding between them).
+std::vector<std::string> BinarySnapshots() {
   WsdDb db = MedicalExample();
-  std::stringstream ss;
-  MAYBMS_ASSERT_OK(WriteWsdDbBinary(db, ss));
-  std::string full = ss.str();
-  for (size_t len = 0; len < full.size(); ++len) {
-    std::stringstream cut(full.substr(0, len));
-    auto r = ReadWsdDb(cut);
-    EXPECT_FALSE(r.ok()) << "prefix of length " << len << " parsed";
+  db.mutable_options().rows_per_shard = 1;
+  std::stringstream v2, v3;
+  EXPECT_TRUE(WriteWsdDbBinary(db, v2).ok());
+  EXPECT_TRUE(WriteWsdDbBinaryV3(db, v3).ok());
+  return {v2.str(), v3.str()};
+}
+
+TEST(SerializeBinaryTest, EveryTruncationFailsCleanly) {
+  for (const std::string& full : BinarySnapshots()) {
+    SCOPED_TRACE(full.substr(0, 12));
+    for (size_t len = 0; len < full.size(); ++len) {
+      std::stringstream cut(full.substr(0, len));
+      auto r = ReadWsdDb(cut);
+      EXPECT_FALSE(r.ok()) << "prefix of length " << len << " parsed";
+    }
   }
 }
 
 TEST(SerializeBinaryTest, EveryByteFlipFailsCleanly) {
-  WsdDb db = MedicalExample();
-  std::stringstream ss;
-  MAYBMS_ASSERT_OK(WriteWsdDbBinary(db, ss));
-  std::string full = ss.str();
   // Flipping any single byte must yield a clean Status — the section
-  // checksums catch payload damage, the framing catches the rest. (A
-  // flip inside the header line may instead select the text reader or
-  // an unsupported version; those also fail cleanly.)
-  for (size_t i = 0; i < full.size(); ++i) {
-    std::string bad = full;
-    bad[i] = static_cast<char>(bad[i] ^ 0x20);
-    std::stringstream in(bad);
-    auto r = ReadWsdDb(in);
-    EXPECT_FALSE(r.ok()) << "byte flip at offset " << i << " parsed";
+  // and block checksums catch payload damage (a flip in the padding
+  // between v3 blocks only the COMP/RELS section checksums), the framing
+  // catches the rest. (A flip inside the header line may instead select
+  // the text reader or an unsupported version; those also fail cleanly.)
+  for (const std::string& full : BinarySnapshots()) {
+    SCOPED_TRACE(full.substr(0, 12));
+    for (size_t i = 0; i < full.size(); ++i) {
+      std::string bad = full;
+      bad[i] = static_cast<char>(bad[i] ^ 0x20);
+      std::stringstream in(bad);
+      auto r = ReadWsdDb(in);
+      EXPECT_FALSE(r.ok()) << "byte flip at offset " << i << " parsed";
+    }
   }
 }
 

@@ -122,10 +122,10 @@ TEST(SnapshotFuzzTest, CorruptedBinaryInputsNeverCrash) {
 }
 
 // The same corruption hammer against the v3 sharded format, through
-// both readers: the eager stream reader and MappedWsdDb::Open (which
-// trusts block checksums lazily, so corruption it does not catch at
-// open time must surface as an error — or an invariant-clean database —
-// when the blocks are materialized). The mutation windows are biased
+// its one reader from both entry points: ReadWsdDb on a stream and
+// MappedWsdDb::Open on a file (which trusts block checksums lazily, so
+// corruption it does not catch at open time must surface as an error —
+// or an invariant-clean database — when the blocks are materialized). The mutation windows are biased
 // toward the file head, where the shard directory and its offset
 // tables live.
 TEST(SnapshotFuzzTest, CorruptedV3InputsNeverCrashEitherReader) {
