@@ -51,7 +51,9 @@ WsdDb DenormalizedInput(size_t records) {
   auto bound = pred->BindAgainst(
       db.GetRelation("census").value()->schema());
   MAYBMS_CHECK(bound.ok());
-  st = lifted_internal::FilterRelationInPlace(&db, "census", *bound);
+  NormalizeScope touched;  // unused: the point is to skip normalizing
+  st = lifted_internal::FilterRelationInPlace(&db, "census", *bound, {},
+                                              &touched);
   MAYBMS_CHECK(st.ok()) << st.ToString();
   // Simulate conditioning (as cleaning does): in every third component,
   // keep only the rows agreeing with row 0 on slot 0 and renormalize.

@@ -30,10 +30,22 @@
 // close; the stored component-id span at the end shows that retired ids
 // are not kept.
 //
+// A third section times the stream's read shapes through sql::Session —
+// a point read on the certain site column, a PROB() site-range read, an
+// ESUM and an ECOUNT read, and the APPROX CONF self-join — at windows of
+// 1,024 and 4,096 readings (fixed sizes at every scale), each read after
+// a write tick (16 evicted, 16 inserted), median over the reps. Next to
+// each time it reports deterministic counters from the first rep: the
+// components normalization visited, and the unreachable components it
+// released without visiting, for the whole statement. The visits follow
+// what the read touches: at the point read they stay within a small
+// multiple of the components its answer tuples reference.
+//
 // Emits BENCH_streaming.json: sustained ingest ns/event, per-query
-// latency of both paths, and the eviction figures, regression-gated by
-// scripts/bench_compare.py.
+// latency of both paths, the eviction figures and the read shapes,
+// regression-gated by scripts/bench_compare.py (the counters exactly).
 #include <algorithm>
+#include <iterator>
 #include <random>
 #include <string>
 #include <vector>
@@ -41,6 +53,7 @@
 #include "bench/bench_util.h"
 #include "core/confidence.h"
 #include "core/delta.h"
+#include "core/normalize.h"
 #include "sql/session.h"
 
 using namespace maybms;
@@ -113,6 +126,130 @@ EvictTiming TimeEviction(size_t window, std::mt19937_64* rng) {
   }
   std::sort(ns.begin(), ns.end());
   return {ns[ns.size() / 2], db.component_slot_count(), db.component_span()};
+}
+
+/// A reading shaped like the durable stream's: a certain site, a
+/// three-way condition or-set and a two-way temperature or-set.
+std::vector<CellSpec> MakeStreamReading(std::mt19937_64* rng) {
+  static const double kCondProbs[][3] = {
+      {0.5, 0.3, 0.2}, {0.6, 0.3, 0.1}, {0.2, 0.2, 0.6}, {0.1, 0.7, 0.2}};
+  static const double kTempProbs[][2] = {{0.25, 0.75}, {0.5, 0.5}, {0.9, 0.1}};
+  auto below = [&](size_t n) {
+    return std::uniform_int_distribution<size_t>(0, n - 1)(*rng);
+  };
+  const auto site = static_cast<int64_t>(below(kSites));
+  const size_t c = below(3);
+  const double* cp = kCondProbs[below(4)];
+  const int t0 = kTemps[below(4)];
+  const int t1 = t0 + 1 + static_cast<int>(below(5));
+  const double* tp = kTempProbs[below(3)];
+  std::vector<Alternative> cond, temp;
+  for (size_t k = 0; k < 3; ++k) {
+    cond.push_back({Value::String(kConditions[(c + k) % 3]), cp[k]});
+  }
+  temp.push_back({Value::Int(t0), tp[0]});
+  temp.push_back({Value::Int(t1), tp[1]});
+  return {CellSpec::Certain(Value::Int(site)), CellSpec::OrSet(std::move(cond)),
+          CellSpec::OrSet(std::move(temp))};
+}
+
+/// One write tick of the stream: the 16 oldest readings out, 16 in.
+void StreamTick(sql::Session* session, std::mt19937_64* rng) {
+  DeltaBatch tick;
+  tick.EvictOldest("readings", 16);
+  for (int i = 0; i < 16; ++i) {
+    tick.Insert("readings", MakeStreamReading(rng));
+  }
+  auto applied = session->ApplyDelta(tick);
+  MAYBMS_CHECK(applied.ok()) << applied.status().ToString();
+}
+
+struct ReadShape {
+  const char* key;
+  const char* sql;
+};
+
+const ReadShape kReadShapes[] = {
+    {"point", "SELECT site, PROB() FROM readings WHERE site = 20"},
+    {"range",
+     "SELECT site, PROB() FROM readings WHERE site >= 20 AND site < 28 AND "
+     "cond = 'rain'"},
+    {"esum", "SELECT ESUM(temp) FROM readings WHERE site < 36"},
+    {"ecount",
+     "SELECT ECOUNT() FROM readings WHERE cond = 'snow' AND temp > 4"},
+    {"selfjoin",
+     "SELECT a.site, APPROX CONF(0.05, 0.0001) FROM readings a, readings b "
+     "WHERE a.site = b.site AND a.site = 20 AND a.cond = 'rain' AND "
+     "a.temp > 12 AND b.cond = 'snow' AND b.temp > 12"},
+};
+
+struct ShapeTiming {
+  double median_ns = 0.0;
+  uint64_t visited = 0;   ///< first rep's Normalize component visits
+  uint64_t released = 0;  ///< first rep's unreachable components dropped
+};
+
+/// Times one read shape over a fresh `window`-reading stream: every rep
+/// runs a write tick, then the read. The database each rep sees depends
+/// only on the window, the shape and the rep, so the first rep's counters
+/// are the same at every scale.
+ShapeTiming TimeReadShape(size_t window, size_t shape, int reps) {
+  std::mt19937_64 rng(1000 * window + shape);
+  sql::Session session;
+  MAYBMS_CHECK(session
+                   .Execute("CREATE TABLE readings (site INT, cond TEXT, "
+                            "temp INT)")
+                   .ok());
+  DeltaBatch fill;
+  for (size_t i = 0; i < window; ++i) {
+    fill.Insert("readings", MakeStreamReading(&rng));
+  }
+  MAYBMS_CHECK(session.ApplyDelta(fill).ok());
+  StreamTick(&session, &rng);  // a warm read, as in a running stream
+  MAYBMS_CHECK(session.Execute(kReadShapes[shape].sql).ok());
+  ShapeTiming out;
+  std::vector<double> ns;
+  for (int rep = 0; rep < reps; ++rep) {
+    StreamTick(&session, &rng);
+    const uint64_t visited = NormalizeComponentsVisitedTotal();
+    const uint64_t released = NormalizeComponentsReleasedTotal();
+    Timer t;
+    auto r = session.Execute(kReadShapes[shape].sql);
+    ns.push_back(t.Seconds() * 1e9);
+    MAYBMS_CHECK(r.ok()) << r.status().ToString();
+    if (rep == 0) {
+      out.visited = NormalizeComponentsVisitedTotal() - visited;
+      out.released = NormalizeComponentsReleasedTotal() - released;
+    }
+  }
+  std::sort(ns.begin(), ns.end());
+  out.median_ns = ns[ns.size() / 2];
+  return out;
+}
+
+/// Components referenced by the readings at site 20: what the point
+/// read's answer tuples carry, for comparison with its visit counter.
+size_t PointAnswerComponents(size_t window) {
+  std::mt19937_64 rng(1000 * window);  // the point shape's stream
+  sql::Session session;
+  MAYBMS_CHECK(session
+                   .Execute("CREATE TABLE readings (site INT, cond TEXT, "
+                            "temp INT)")
+                   .ok());
+  DeltaBatch fill;
+  for (size_t i = 0; i < window; ++i) {
+    fill.Insert("readings", MakeStreamReading(&rng));
+  }
+  MAYBMS_CHECK(session.ApplyDelta(fill).ok());
+  StreamTick(&session, &rng);
+  StreamTick(&session, &rng);
+  size_t refs = 0;
+  for (const WsdTuple& t :
+       session.db().GetRelation("readings").value()->tuples()) {
+    if (!(t.cells[0].value() == Value::Int(20))) continue;
+    for (const Cell& c : t.cells) refs += c.is_ref() ? 1 : 0;
+  }
+  return refs;
 }
 
 }  // namespace
@@ -228,9 +365,31 @@ int main() {
                 std::to_string(large.slot_count)});
   table.AddRow({"component id span stored @ 16384",
                 std::to_string(large.span)});
+  const int reps = static_cast<int>(std::max<size_t>(3, Scaled(15)));
+  std::vector<std::pair<std::string, ShapeTiming>> shapes;
+  for (size_t w : {size_t{1024}, size_t{4096}}) {
+    for (size_t k = 0; k < std::size(kReadShapes); ++k) {
+      const ShapeTiming st = TimeReadShape(w, k, reps);
+      const std::string key =
+          StrFormat("%s_window%zu", kReadShapes[k].key, w);
+      table.AddRow({"read " + key,
+                    StrFormat("%.2f ms, normalize visits %llu, released %llu",
+                              st.median_ns / 1e6,
+                              static_cast<unsigned long long>(st.visited),
+                              static_cast<unsigned long long>(st.released))});
+      shapes.emplace_back(key, st);
+    }
+    table.AddRow({StrFormat("point read answer components @ %zu", w),
+                  std::to_string(PointAnswerComponents(w))});
+  }
   table.Print();
 
   BenchJson json("streaming");
+  for (const auto& [key, st] : shapes) {
+    json.Add("streaming_read_" + key + "_ns", st.median_ns);
+    json.AddCount("streaming_read_" + key + "_normalize_visits",
+                  static_cast<double>(st.visited));
+  }
   json.Add("streaming_ingest_ns_per_event", ingest_s * 1e9 / events);
   json.Add("streaming_conf_incremental_ns", incr_s * per_query * 1e9,
            conf_speedup);
@@ -249,6 +408,7 @@ int main() {
   // dominate and the ratio is noise — the smoke run only checks that the
   // bench executes and stays exact.
   json.Write();
+  fflush(stdout);  // the table survives an abort below, even into a file
   if (window >= 512) {
     MAYBMS_CHECK(conf_speedup >= 5.0)
         << "incremental CONF only " << conf_speedup

@@ -91,7 +91,14 @@ class BenchJson {
 
   /// speedup <= 0 means "no baseline"; emitted as null.
   void Add(const std::string& name, double ns_per_op, double speedup = 0.0) {
-    entries_.push_back({name, ns_per_op, speedup});
+    entries_.push_back({name, ns_per_op, speedup, false});
+  }
+
+  /// A deterministic work counter, not a time: written with "exact":
+  /// true, and scripts/bench_compare.py fails on any change from the
+  /// baseline, in either direction.
+  void AddCount(const std::string& name, double count) {
+    entries_.push_back({name, count, 0.0, true});
   }
 
   void Write() {
@@ -111,10 +118,11 @@ class BenchJson {
       fprintf(f, "  {\"name\": \"%s\", \"ns_per_op\": %.1f, \"speedup\": ",
               escaped.c_str(), e.ns_per_op);
       if (e.speedup > 0.0) {
-        fprintf(f, "%.3f}", e.speedup);
+        fprintf(f, "%.3f", e.speedup);
       } else {
-        fprintf(f, "null}");
+        fprintf(f, "null");
       }
+      fprintf(f, e.exact ? ", \"exact\": true}" : "}");
       fprintf(f, "%s\n", i + 1 < entries_.size() ? "," : "");
     }
     fprintf(f, "]\n");
@@ -127,6 +135,7 @@ class BenchJson {
     std::string name;
     double ns_per_op;
     double speedup;
+    bool exact;
   };
   std::string name_;
   std::vector<Entry> entries_;

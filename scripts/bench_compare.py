@@ -15,6 +15,9 @@ Semantics per baseline file BENCH_x.json:
   - fresh ns_per_op <= max_slowdown*b  -> ok (improvements are reported,
                                          not enforced; refresh baselines
                                          to lock them in)
+  - baseline entry with "exact": true  -> FAIL on any difference, in
+                                         either direction (deterministic
+                                         work counters, not times)
 Entries only present in the fresh output are new and pass (commit an
 updated baseline to start gating them).
 
@@ -49,6 +52,13 @@ def load_entries(path):
     return entries
 
 
+def load_exact_names(path):
+    """Names of the entries of one BENCH_*.json file gated exactly."""
+    with open(path, "r", encoding="utf-8") as f:
+        data = json.load(f)
+    return {item["name"] for item in data if item.get("exact")}
+
+
 def fmt_ns(ns):
     if ns >= 1e9:
         return "%.2f s" % (ns / 1e9)
@@ -81,6 +91,7 @@ def main():
     rows = []
     for fname in baselines:
         base = load_entries(os.path.join(args.baseline_dir, fname))
+        exact = load_exact_names(os.path.join(args.baseline_dir, fname))
         fresh = {}
         for d in fresh_dirs:
             path = os.path.join(d, fname)
@@ -99,6 +110,17 @@ def main():
                                 "output" % (fname, name))
                 continue
             fresh_ns = fresh[name]
+            if name in exact:
+                status = "ok"
+                if fresh_ns != base_ns:
+                    status = "CHANGED"
+                    failures.append(
+                        "%s: counter '%s' changed %g -> %g (gated exactly)"
+                        % (fname, name, base_ns, fresh_ns))
+                rows.append((fname.replace("BENCH_", "").replace(".json", ""),
+                             name, "%g" % base_ns, "%g" % fresh_ns,
+                             "exact", status))
+                continue
             ratio = fresh_ns / base_ns if base_ns > 0 else float("inf")
             status = "ok"
             if ratio > args.max_slowdown:
@@ -128,8 +150,8 @@ def main():
             print("  ".join(str(c).ljust(w) for c, w in zip(r, widths)))
 
     if failures:
-        print("\nbenchmark regression gate FAILED (>%.0f%% slowdown):"
-              % ((args.max_slowdown - 1.0) * 100.0))
+        print("\nbenchmark regression gate FAILED (>%.0f%% slowdown, or an "
+              "exact counter changed):" % ((args.max_slowdown - 1.0) * 100.0))
         for f in failures:
             print("  " + f)
         return 1

@@ -127,10 +127,14 @@ Status Component::Renormalize() {
   return Status::OK();
 }
 
-void Component::DedupRows() {
+// Finds the first occurrence of every distinct row (`keep`, ascending)
+// and the summed probability of each (`merged`). Returns whether some
+// row repeats an earlier one.
+bool Component::FindDuplicateRows(std::vector<uint32_t>* keep,
+                                  std::vector<double>* merged) const {
   const size_t n = NumRows();
   const size_t k = NumSlots();
-  if (n < 2) return;
+  if (n < 2) return false;
 
   // Row hashes, accumulated column-by-column for cache locality (every
   // row combines its slots in the same 0..k-1 order).
@@ -145,10 +149,10 @@ void Component::DedupRows() {
   while (cap < 2 * n) cap <<= 1;
   constexpr uint32_t kEmpty = UINT32_MAX;
   std::vector<uint32_t> table(cap, kEmpty);  // slot -> index into `keep`
-  std::vector<uint32_t> keep;                // kept original row indexes
-  std::vector<double> new_probs;
-  keep.reserve(n);
-  new_probs.reserve(n);
+  keep->clear();
+  merged->clear();
+  keep->reserve(n);
+  merged->reserve(n);
 
   bool any_dup = false;
   const size_t mask = cap - 1;
@@ -157,7 +161,7 @@ void Component::DedupRows() {
     uint32_t found = kEmpty;
     while (table[pos] != kEmpty) {
       uint32_t cand = table[pos];
-      uint32_t orig = keep[cand];
+      uint32_t orig = (*keep)[cand];
       if (hashes[orig] == hashes[r]) {
         bool eq = true;
         for (size_t s = 0; s < k; ++s) {
@@ -174,16 +178,27 @@ void Component::DedupRows() {
       pos = (pos + 1) & mask;
     }
     if (found != kEmpty) {
-      new_probs[found] += probs_[r];
+      (*merged)[found] += probs_[r];
       any_dup = true;
     } else {
-      table[pos] = static_cast<uint32_t>(keep.size());
-      keep.push_back(static_cast<uint32_t>(r));
-      new_probs.push_back(probs_[r]);
+      table[pos] = static_cast<uint32_t>(keep->size());
+      keep->push_back(static_cast<uint32_t>(r));
+      merged->push_back(probs_[r]);
     }
   }
-  if (!any_dup) return;
+  return any_dup;
+}
 
+bool Component::HasDuplicateRows() const {
+  std::vector<uint32_t> keep;
+  std::vector<double> merged;
+  return FindDuplicateRows(&keep, &merged);
+}
+
+void Component::DedupRows() {
+  std::vector<uint32_t> keep;
+  std::vector<double> new_probs;
+  if (!FindDuplicateRows(&keep, &new_probs)) return;
   // Gather the kept rows in place (keep is strictly ascending), then
   // install the merged probabilities.
   KeepRows(keep);
@@ -236,9 +251,8 @@ void Component::DropZeroRows(double eps) {
   KeepRows(keep);
 }
 
-Result<Component> Component::Product(const Component& a, const Component& b,
-                                     size_t max_rows) {
-  const size_t an = a.NumRows(), bn = b.NumRows();
+Result<size_t> Component::ProductRows(size_t an, size_t bn,
+                                      size_t max_rows) {
   size_t n = an * bn;
   if (an != 0 && n / an != bn) {
     return Status::ResourceExhausted("component product row count overflow");
@@ -248,6 +262,13 @@ Result<Component> Component::Product(const Component& a, const Component& b,
         StrFormat("component product would have %zu rows (budget %zu)", n,
                   max_rows));
   }
+  return n;
+}
+
+Result<Component> Component::Product(const Component& a, const Component& b,
+                                     size_t max_rows) {
+  const size_t an = a.NumRows(), bn = b.NumRows();
+  MAYBMS_ASSIGN_OR_RETURN(size_t n, ProductRows(an, bn, max_rows));
   Component out;
   out.slots_ = a.slots_;
   out.slots_.insert(out.slots_.end(), b.slots_.begin(), b.slots_.end());

@@ -175,6 +175,10 @@ class Component {
   /// probabilities. Preserves first-occurrence order.
   void DedupRows();
 
+  /// True when DedupRows would merge some rows. Read-only, so a caller
+  /// can leave a shared component undetached when it is already deduped.
+  bool HasDuplicateRows() const;
+
   /// Removes the given slots (sorted ascending) and marginalizes:
   /// projects rows onto the remaining slots and dedups.
   void DropSlots(const std::vector<uint32_t>& sorted_slots);
@@ -193,6 +197,10 @@ class Component {
   /// `max_rows`.
   static Result<Component> Product(const Component& a, const Component& b,
                                    size_t max_rows);
+
+  /// Row count of the product of an `an`-row and a `bn`-row component,
+  /// or the error Product returns when it would exceed `max_rows`.
+  static Result<size_t> ProductRows(size_t an, size_t bn, size_t max_rows);
 
   // --- statistics --------------------------------------------------------
   /// Row/per-slot-distinct statistics, computed on first access and
@@ -243,6 +251,9 @@ class Component {
   std::string ToString() const;
 
  private:
+  bool FindDuplicateRows(std::vector<uint32_t>* keep,
+                         std::vector<double>* merged) const;
+
   /// Drops the cached statistics (atomically, so a reader that raced a
   /// handed-out mutable reference sees either the old stats or none).
   /// Any mutation that changes stats also changes content.

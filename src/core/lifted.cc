@@ -8,13 +8,13 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "core/lifted_internal.h"
-#include "core/normalize.h"
 
 namespace maybms {
 
 using lifted_internal::ApplyMatchKills;
 using lifted_internal::CellsPossiblyEqual;
 using lifted_internal::FilterRelationInPlace;
+using lifted_internal::FinishOperator;
 using lifted_internal::MatchKillSpec;
 using lifted_internal::MergePlanner;
 
@@ -36,19 +36,21 @@ Status RenameRelation(WsdDb* db, const std::string& from,
 }
 
 Status LiftedSelect(WsdDb* db, const std::string& input, const ExprPtr& pred,
-                    const std::string& output, const ExecOptions& opts) {
+                    const std::string& output, const ExecOptions& opts,
+                    OwnerLocator* owners) {
   MAYBMS_ASSIGN_OR_RETURN(const WsdRelation* rel, db->GetRelation(input));
   MAYBMS_ASSIGN_OR_RETURN(ExprPtr bound, pred->BindAgainst(rel->schema()));
   MAYBMS_RETURN_IF_ERROR(RenameRelation(db, input, output));
-  MAYBMS_RETURN_IF_ERROR(FilterRelationInPlace(db, output, bound, opts));
-  MAYBMS_ASSIGN_OR_RETURN(NormalizeStats stats, Normalize(db));
-  (void)stats;
-  return Status::OK();
+  NormalizeScope touched;
+  MAYBMS_RETURN_IF_ERROR(
+      FilterRelationInPlace(db, output, bound, opts, &touched));
+  return FinishOperator(db, touched, owners);
 }
 
 Status LiftedProject(WsdDb* db, const std::string& input,
                      const std::vector<ProjectItem>& items,
-                     const std::string& output, const ExecOptions& opts) {
+                     const std::string& output, const ExecOptions& opts,
+                     OwnerLocator* owners) {
   MAYBMS_ASSIGN_OR_RETURN(WsdRelation * rel, db->GetMutableRelation(input));
   const Schema& in_schema = rel->schema();
 
@@ -85,6 +87,7 @@ Status LiftedProject(WsdDb* db, const std::string& input,
   }
 
   // Merge planning for computed expressions spanning components.
+  NormalizeScope touched;
   MergePlanner planner;
   bool any_computed = false;
   for (const auto& it : bound) {
@@ -105,8 +108,11 @@ Status LiftedProject(WsdDb* db, const std::string& input,
         if (cids.size() > 1) planner.Require(cids);
       }
     }
-    MAYBMS_RETURN_IF_ERROR(planner.Execute(db));
+    MAYBMS_RETURN_IF_ERROR(planner.Execute(db, &touched));
   }
+  // The output references a subset of these components, plus new slots
+  // in ones already referenced.
+  touched.AddRelation(*rel);
 
   // Build the projected tuples.
   Tuple eval_buf(in_schema.size(), Value::Null());
@@ -204,9 +210,7 @@ Status LiftedProject(WsdDb* db, const std::string& input,
   }
   rel->set_schema(out_schema);
   MAYBMS_RETURN_IF_ERROR(RenameRelation(db, input, output));
-  MAYBMS_ASSIGN_OR_RETURN(NormalizeStats stats, Normalize(db));
-  (void)stats;
-  return Status::OK();
+  return FinishOperator(db, touched, owners);
 }
 
 namespace {
@@ -229,7 +233,8 @@ Status CheckUnionCompatible(const Schema& a, const Schema& b,
 }  // namespace
 
 Status LiftedProduct(WsdDb* db, const std::string& left,
-                     const std::string& right, const std::string& output) {
+                     const std::string& right, const std::string& output,
+                     OwnerLocator* owners) {
   if (EqualsIgnoreCase(left, right)) {
     return Status::InvalidArgument(
         "lifted operators consume their inputs; pass two scan copies "
@@ -253,11 +258,13 @@ Status LiftedProduct(WsdDb* db, const std::string& left,
       out->Add(std::move(t));
     }
   }
+  // The output pairs reference exactly the inputs' components.
+  NormalizeScope touched;
+  touched.AddRelation(*l);
+  touched.AddRelation(*r);
   MAYBMS_RETURN_IF_ERROR(db->DropRelation(left));
   MAYBMS_RETURN_IF_ERROR(db->DropRelation(right));
-  MAYBMS_ASSIGN_OR_RETURN(NormalizeStats stats, Normalize(db));
-  (void)stats;
-  return Status::OK();
+  return FinishOperator(db, touched, owners);
 }
 
 namespace {
@@ -269,20 +276,11 @@ struct JoinKeys {
   bool all_equi = false;
 };
 
-void SplitConjunctsLocal(const ExprPtr& e, std::vector<ExprPtr>* out) {
-  if (e->kind() == ExprKind::kAnd) {
-    SplitConjunctsLocal(e->left(), out);
-    SplitConjunctsLocal(e->right(), out);
-  } else {
-    out->push_back(e);
-  }
-}
-
 JoinKeys AnalyzeJoin(const ExprPtr& bound, size_t left_arity) {
   JoinKeys keys;
   if (!bound) return keys;
   std::vector<ExprPtr> conjuncts;
-  SplitConjunctsLocal(bound, &conjuncts);
+  lifted_internal::SplitConjuncts(bound, &conjuncts);
   size_t equi = 0;
   for (const auto& c : conjuncts) {
     if (c->kind() == ExprKind::kCompare && c->compare_op() == CompareOp::kEq &&
@@ -335,7 +333,7 @@ bool KeyCellsEqual(const WsdTuple& a, const std::vector<size_t>& ca,
 
 Status LiftedJoin(WsdDb* db, const std::string& left, const std::string& right,
                   const ExprPtr& pred, const std::string& output,
-                  const ExecOptions& opts) {
+                  const ExecOptions& opts, OwnerLocator* owners) {
   if (EqualsIgnoreCase(left, right)) {
     return Status::InvalidArgument(
         "lifted operators consume their inputs; pass two scan copies "
@@ -423,6 +421,9 @@ Status LiftedJoin(WsdDb* db, const std::string& left, const std::string& right,
       for (const auto& rt : r->tuples()) emit(lt, rt);
     }
   }
+  NormalizeScope touched;
+  touched.AddRelation(*l);
+  touched.AddRelation(*r);
   MAYBMS_RETURN_IF_ERROR(db->DropRelation(left));
   MAYBMS_RETURN_IF_ERROR(db->DropRelation(right));
   l = nullptr;
@@ -435,16 +436,16 @@ Status LiftedJoin(WsdDb* db, const std::string& left, const std::string& right,
       bound != nullptr && (!keys.all_equi || keys.left_cols.empty() ||
                            emitted_uncertain_keys);
   if (needs_filter) {
-    MAYBMS_RETURN_IF_ERROR(FilterRelationInPlace(db, tmp, bound, opts));
+    MAYBMS_RETURN_IF_ERROR(
+        FilterRelationInPlace(db, tmp, bound, opts, &touched));
   }
   MAYBMS_RETURN_IF_ERROR(RenameRelation(db, tmp, output));
-  MAYBMS_ASSIGN_OR_RETURN(NormalizeStats stats, Normalize(db));
-  (void)stats;
-  return Status::OK();
+  return FinishOperator(db, touched, owners);
 }
 
 Status LiftedUnion(WsdDb* db, const std::string& left,
-                   const std::string& right, const std::string& output) {
+                   const std::string& right, const std::string& output,
+                   OwnerLocator* owners) {
   if (EqualsIgnoreCase(left, right)) {
     return Status::InvalidArgument(
         "lifted operators consume their inputs; pass two scan copies "
@@ -454,14 +455,15 @@ Status LiftedUnion(WsdDb* db, const std::string& left,
   MAYBMS_ASSIGN_OR_RETURN(WsdRelation * r, db->GetMutableRelation(right));
   MAYBMS_RETURN_IF_ERROR(
       CheckUnionCompatible(l->schema(), r->schema(), "UNION"));
+  NormalizeScope touched;
+  touched.AddRelation(*l);
+  touched.AddRelation(*r);
   for (auto& t : r->mutable_tuples()) {
     l->Add(std::move(t));
   }
   MAYBMS_RETURN_IF_ERROR(db->DropRelation(right));
   MAYBMS_RETURN_IF_ERROR(RenameRelation(db, left, output));
-  MAYBMS_ASSIGN_OR_RETURN(NormalizeStats stats, Normalize(db));
-  (void)stats;
-  return Status::OK();
+  return FinishOperator(db, touched, owners);
 }
 
 namespace {
@@ -486,7 +488,8 @@ bool TuplesPossiblyEqual(const WsdDb& db, const WsdTuple& a,
 }  // namespace
 
 Status LiftedDifference(WsdDb* db, const std::string& left,
-                        const std::string& right, const std::string& output) {
+                        const std::string& right, const std::string& output,
+                        OwnerLocator* owners) {
   if (EqualsIgnoreCase(left, right)) {
     return Status::InvalidArgument(
         "lifted operators consume their inputs; pass two scan copies "
@@ -538,16 +541,17 @@ Status LiftedDifference(WsdDb* db, const std::string& left,
     }
     if (!spec.sources.empty()) specs.push_back(std::move(spec));
   }
-  MAYBMS_RETURN_IF_ERROR(ApplyMatchKills(db, specs));
+  NormalizeScope touched;
+  MAYBMS_RETURN_IF_ERROR(ApplyMatchKills(db, specs, &touched));
+  touched.AddRelation(*db->GetRelation(left).value());
+  touched.AddRelation(*db->GetRelation(right).value());
   MAYBMS_RETURN_IF_ERROR(db->DropRelation(right));
   MAYBMS_RETURN_IF_ERROR(RenameRelation(db, left, output));
-  MAYBMS_ASSIGN_OR_RETURN(NormalizeStats stats, Normalize(db));
-  (void)stats;
-  return Status::OK();
+  return FinishOperator(db, touched, owners);
 }
 
 Status LiftedDistinct(WsdDb* db, const std::string& input,
-                      const std::string& output) {
+                      const std::string& output, OwnerLocator* owners) {
   {
     // Reorder the template so that certain, always-alive tuples come
     // first, then gated certain ones, then uncertain ones. Which
@@ -615,11 +619,11 @@ Status LiftedDistinct(WsdDb* db, const std::string& input,
       uncertain_earlier.push_back(j);
     }
   }
-  MAYBMS_RETURN_IF_ERROR(ApplyMatchKills(db, specs));
+  NormalizeScope touched;
+  MAYBMS_RETURN_IF_ERROR(ApplyMatchKills(db, specs, &touched));
+  touched.AddRelation(*db->GetRelation(input).value());
   MAYBMS_RETURN_IF_ERROR(RenameRelation(db, input, output));
-  MAYBMS_ASSIGN_OR_RETURN(NormalizeStats stats, Normalize(db));
-  (void)stats;
-  return Status::OK();
+  return FinishOperator(db, touched, owners);
 }
 
 }  // namespace maybms

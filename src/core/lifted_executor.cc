@@ -6,6 +6,7 @@
 #include "common/string_util.h"
 #include "core/factorize.h"
 #include "core/lifted.h"
+#include "core/lifted_internal.h"
 #include "core/normalize.h"
 
 namespace maybms {
@@ -24,11 +25,13 @@ void CountScans(const PlanPtr& plan,
 class LiftedRunner {
  public:
   LiftedRunner(WsdDb* db, const ExecOptions& eval_opts)
-      : db_(db), eval_opts_(eval_opts) {}
+      : db_(db), eval_opts_(eval_opts), owners_(*db) {}
 
   // Pre-instantiates `count` independent scan copies of each base
-  // relation, then drops every base relation so that ownership statistics
-  // reflect only the working copies.
+  // relation, then drops every other relation, so that the working
+  // database holds only the scanned relations and the components they
+  // reference or are gated by. The copies themselves are not normalized
+  // here: each operator normalizes what it reads.
   Status PrepareScans(const std::map<std::string, size_t>& counts) {
     for (const auto& [name, count] : counts) {
       MAYBMS_ASSIGN_OR_RETURN(const WsdRelation* rel, db_->GetRelation(name));
@@ -38,7 +41,8 @@ class LiftedRunner {
       // semantics). The last "copy" moves the base relation instead, so a
       // single scan costs no duplication.
       for (size_t i = 1; i < count; ++i) {
-        std::string copy = StrFormat("__scan_%s_%zu", name.c_str(), i);
+        std::string copy = StrFormat(
+            "%s%s_%zu", lifted_internal::kScanCopyPrefix, name.c_str(), i);
         MAYBMS_RETURN_IF_ERROR(db_->CreateRelation(copy, rel->schema()));
         WsdRelation* dst = db_->GetMutableRelation(copy).value();
         const WsdRelation* src = db_->GetRelation(name).value();
@@ -47,17 +51,28 @@ class LiftedRunner {
         dst->set_display_name(display);
         scan_queue_[name].push_back(copy);
       }
-      std::string moved = StrFormat("__scan_%s_0", name.c_str());
+      std::string moved =
+          StrFormat("%s%s_0", lifted_internal::kScanCopyPrefix, name.c_str());
       MAYBMS_RETURN_IF_ERROR(RenameRelation(db_, name, moved));
       db_->GetMutableRelation(moved).value()->set_display_name(display);
       scan_queue_[name].push_back(moved);
     }
+    NormalizeScope released;
     for (const auto& name : db_->RelationNames()) {
-      if (!StartsWith(name, "__scan_")) {
+      if (!StartsWith(name, lifted_internal::kScanCopyPrefix)) {
+        released.AddRelation(*db_->GetRelation(name).value());
         MAYBMS_RETURN_IF_ERROR(db_->DropRelation(name));
       }
     }
-    return Status::OK();
+    return Release(released);
+  }
+
+  // Normalizes what dropping relations released (their components that
+  // nothing else references are collected), or a scan copy the plan
+  // reads without an operator.
+  Status Release(const NormalizeScope& released) {
+    if (released.empty()) return Status::OK();
+    return lifted_internal::FinishOperator(db_, released, &owners_);
   }
 
   Result<std::string> Run(const PlanPtr& plan) {
@@ -75,54 +90,62 @@ class LiftedRunner {
       case PlanKind::kSelect: {
         MAYBMS_ASSIGN_OR_RETURN(std::string in, Run(plan->input()));
         std::string out = NextTemp();
-        MAYBMS_RETURN_IF_ERROR(
-            LiftedSelect(db_, in, plan->predicate(), out, eval_opts_));
+        MAYBMS_RETURN_IF_ERROR(LiftedSelect(db_, in, plan->predicate(), out,
+                                            eval_opts_, &owners_));
         return out;
       }
       case PlanKind::kProject: {
         MAYBMS_ASSIGN_OR_RETURN(std::string in, Run(plan->input()));
         std::string out = NextTemp();
-        MAYBMS_RETURN_IF_ERROR(
-            LiftedProject(db_, in, plan->project_items(), out, eval_opts_));
+        MAYBMS_RETURN_IF_ERROR(LiftedProject(db_, in, plan->project_items(),
+                                             out, eval_opts_, &owners_));
         return out;
       }
       case PlanKind::kProduct: {
         MAYBMS_ASSIGN_OR_RETURN(std::string l, Run(plan->left()));
         MAYBMS_ASSIGN_OR_RETURN(std::string r, Run(plan->right()));
         std::string out = NextTemp();
-        MAYBMS_RETURN_IF_ERROR(LiftedProduct(db_, l, r, out));
+        MAYBMS_RETURN_IF_ERROR(LiftedProduct(db_, l, r, out, &owners_));
         return out;
       }
       case PlanKind::kJoin: {
         MAYBMS_ASSIGN_OR_RETURN(std::string l, Run(plan->left()));
         MAYBMS_ASSIGN_OR_RETURN(std::string r, Run(plan->right()));
         std::string out = NextTemp();
-        MAYBMS_RETURN_IF_ERROR(
-            LiftedJoin(db_, l, r, plan->predicate(), out, eval_opts_));
+        MAYBMS_RETURN_IF_ERROR(LiftedJoin(db_, l, r, plan->predicate(), out,
+                                          eval_opts_, &owners_));
         return out;
       }
       case PlanKind::kUnion: {
         MAYBMS_ASSIGN_OR_RETURN(std::string l, Run(plan->left()));
         MAYBMS_ASSIGN_OR_RETURN(std::string r, Run(plan->right()));
         std::string out = NextTemp();
-        MAYBMS_RETURN_IF_ERROR(LiftedUnion(db_, l, r, out));
+        MAYBMS_RETURN_IF_ERROR(LiftedUnion(db_, l, r, out, &owners_));
         return out;
       }
       case PlanKind::kDifference: {
         MAYBMS_ASSIGN_OR_RETURN(std::string l, Run(plan->left()));
         MAYBMS_ASSIGN_OR_RETURN(std::string r, Run(plan->right()));
         std::string out = NextTemp();
-        MAYBMS_RETURN_IF_ERROR(LiftedDifference(db_, l, r, out));
+        MAYBMS_RETURN_IF_ERROR(LiftedDifference(db_, l, r, out, &owners_));
         return out;
       }
       case PlanKind::kDistinct: {
         MAYBMS_ASSIGN_OR_RETURN(std::string in, Run(plan->input()));
         std::string out = NextTemp();
-        MAYBMS_RETURN_IF_ERROR(LiftedDistinct(db_, in, out));
+        MAYBMS_RETURN_IF_ERROR(LiftedDistinct(db_, in, out, &owners_));
         return out;
       }
       case PlanKind::kSort: {
         MAYBMS_ASSIGN_OR_RETURN(std::string in, Run(plan->input()));
+        // Sort normalizes nothing itself. A scan copy it reads directly is
+        // the input as stored, where a one-alternative or-set is still a
+        // one-row component: normalize it first, so such a key is certain.
+        if (StartsWith(in, lifted_internal::kScanCopyPrefix)) {
+          NormalizeScope read;
+          read.AddRelation(*db_->GetRelation(in).value());
+          MAYBMS_RETURN_IF_ERROR(Release(read));
+        }
         MAYBMS_RETURN_IF_ERROR(SortCertain(in, plan));
         return in;
       }
@@ -177,6 +200,7 @@ class LiftedRunner {
 
   WsdDb* db_;
   ExecOptions eval_opts_;
+  OwnerLocator owners_;
   std::map<std::string, std::vector<std::string>> scan_queue_;
   size_t temp_counter_ = 0;
 };
@@ -185,26 +209,35 @@ class LiftedRunner {
 
 Result<WsdDb> ExecuteLifted(const PlanPtr& plan, const WsdDb& input,
                             const LiftedExecOptions& options) {
-  WsdDb working = input;  // deep copy; the input stays immutable
+  // A copy-on-write copy: relations and components stay shared with the
+  // input until an operator changes them. The runner's owner locator is
+  // seeded from the input's reference index before the first mutation
+  // drops the copy's.
+  WsdDb working = input;
   std::map<std::string, size_t> counts;
   CountScans(plan, &counts);
   LiftedRunner runner(&working, options.eval);
   MAYBMS_RETURN_IF_ERROR(runner.PrepareScans(counts));
-  // Normalize once: dropping unscanned base relations frees components.
-  MAYBMS_ASSIGN_OR_RETURN(NormalizeStats st0, Normalize(&working));
-  (void)st0;
   MAYBMS_ASSIGN_OR_RETURN(std::string result, runner.Run(plan));
   // Drop any leftover scan copies (plans that do not consume every copy
-  // cannot occur today, but stay defensive).
+  // cannot occur today, but stay defensive). A result that is itself an
+  // unread scan copy (a bare scan, or a sort of one) is what the plan
+  // reaches, so it is normalized too.
+  NormalizeScope rest;
   for (const auto& name : working.RelationNames()) {
-    if (name != ToLower(result) && !EqualsIgnoreCase(name, result)) {
-      MAYBMS_RETURN_IF_ERROR(working.DropRelation(name));
+    const WsdRelation* rel = working.GetRelation(name).value();
+    if (EqualsIgnoreCase(name, result)) {
+      if (StartsWith(ToLower(name), lifted_internal::kScanCopyPrefix)) {
+        rest.AddRelation(*rel);
+      }
+      continue;
     }
+    rest.AddRelation(*rel);
+    MAYBMS_RETURN_IF_ERROR(working.DropRelation(name));
   }
   MAYBMS_RETURN_IF_ERROR(RenameRelation(&working, result,
                                         options.result_name));
-  MAYBMS_ASSIGN_OR_RETURN(NormalizeStats st1, Normalize(&working));
-  (void)st1;
+  MAYBMS_RETURN_IF_ERROR(runner.Release(rest));
   if (options.factorize_result) {
     MAYBMS_ASSIGN_OR_RETURN(FactorizeStats fs, Factorize(&working));
     (void)fs;

@@ -1,66 +1,50 @@
 #include "core/lifted_internal.h"
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
+#include <optional>
 #include <unordered_set>
 
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/string_util.h"
+#include "core/lifted.h"
 
 namespace maybms {
 namespace lifted_internal {
 
-std::unordered_map<OwnerId, size_t> CountOwnerUsage(const WsdDb& db) {
-  std::unordered_map<OwnerId, size_t> usage;
-  for (const auto& [key, rel] : db.relations()) {
-    for (const auto& t : rel.tuples()) {
-      for (OwnerId o : t.deps) usage[o]++;
-    }
+namespace {
+
+std::atomic<ScopedNormalizeCheck> g_normalize_check{nullptr};
+
+}  // namespace
+
+Status FinishOperator(WsdDb* db, const NormalizeScope& touched,
+                      OwnerLocator* owners) {
+  std::optional<OwnerLocator> local;
+  if (owners == nullptr) owners = &local.emplace(*db);
+  MAYBMS_ASSIGN_OR_RETURN(NormalizeStats stats,
+                          Normalize(db, touched, owners));
+  (void)stats;
+  ScopedNormalizeCheck check = g_normalize_check.load();
+  if (check == nullptr) return Status::OK();
+  // Unread scan copies hold the input as stored, which need not be
+  // normal; the check can only hold once every copy has been read.
+  for (const auto& [key, rel] : db->relations()) {
+    if (StartsWith(key, kScanCopyPrefix)) return Status::OK();
   }
-  return usage;
+  check(*db);
+  return Status::OK();
 }
 
-std::vector<ComponentId> ComponentsGatingOwners(
-    const WsdDb& db, const std::vector<OwnerId>& owners) {
-  std::vector<ComponentId> out;
-  for (ComponentId id : db.LiveComponents()) {
-    const Component& c = db.component(id);
-    for (uint32_t s = 0; s < c.NumSlots(); ++s) {
-      if (std::binary_search(owners.begin(), owners.end(), c.slot(s).owner)) {
-        out.push_back(id);
-        break;
-      }
-    }
+void SplitConjuncts(const ExprPtr& e, std::vector<ExprPtr>* out) {
+  if (e->kind() == ExprKind::kAnd) {
+    SplitConjuncts(e->left(), out);
+    SplitConjuncts(e->right(), out);
+  } else {
+    out->push_back(e);
   }
-  return out;
-}
-
-std::vector<ComponentId> BottomGatingComponents(
-    const WsdDb& db, const std::vector<OwnerId>& owners) {
-  std::vector<ComponentId> out;
-  for (ComponentId id : db.LiveComponents()) {
-    const Component& c = db.component(id);
-    bool relevant = false;
-    for (uint32_t s = 0; !relevant && s < c.NumSlots(); ++s) {
-      if (!std::binary_search(owners.begin(), owners.end(),
-                              c.slot(s).owner)) {
-        continue;
-      }
-      for (const PackedValue& v : c.column(s)) {
-        if (v.is_bottom()) {
-          relevant = true;
-          break;
-        }
-      }
-    }
-    if (relevant) out.push_back(id);
-  }
-  return out;
-}
-
-bool AlwaysAlive(const WsdDb& db, const std::vector<OwnerId>& deps) {
-  return deps.empty() || BottomGatingComponents(db, deps).empty();
 }
 
 BottomGatingIndex BuildBottomGatingIndex(const WsdDb& db) {
@@ -153,33 +137,66 @@ void MergePlanner::Require(const std::vector<ComponentId>& cids) {
   }
 }
 
-Status MergePlanner::Execute(WsdDb* db) {
-  MAYBMS_CHECK(!executed_);
-  executed_ = true;
+std::vector<std::vector<ComponentId>> MergePlanner::Groups(
+    std::vector<ComponentId>* roots) {
   // Collect groups. Find mutates parent_, so gather keys first.
   std::unordered_map<ComponentId, std::vector<ComponentId>> groups;
   std::vector<ComponentId> keys;
   keys.reserve(parent_.size());
   for (const auto& [cid, p] : parent_) keys.push_back(cid);
   for (ComponentId cid : keys) groups[Find(cid)].push_back(cid);
-  // Batch all real merges into one MergeComponentGroups call so the
-  // template remap is a single pass.
-  std::vector<ComponentId> roots;
   std::vector<std::vector<ComponentId>> batch;
   for (auto& [root, members] : groups) {
     if (members.size() < 2) {
       merged_[root] = members[0];
       continue;
     }
-    roots.push_back(root);
+    roots->push_back(root);
     batch.push_back(std::move(members));
   }
+  return batch;
+}
+
+Status MergePlanner::Execute(WsdDb* db, NormalizeScope* touched) {
+  MAYBMS_CHECK(!executed_);
+  executed_ = true;
+  // Batch all real merges into one MergeComponentGroups call so the
+  // template remap is a single pass.
+  std::vector<ComponentId> roots;
+  std::vector<std::vector<ComponentId>> batch = Groups(&roots);
   if (!batch.empty()) {
     MAYBMS_ASSIGN_OR_RETURN(
         std::vector<ComponentId> merged,
         db->MergeComponentGroups(batch, db->options().max_component_rows));
     for (size_t i = 0; i < roots.size(); ++i) merged_[roots[i]] = merged[i];
+    if (touched != nullptr) {
+      touched->components.insert(touched->components.end(), merged.begin(),
+                                 merged.end());
+    }
   }
+  return Status::OK();
+}
+
+Status MergePlanner::CheckBudget(const WsdDb& db) {
+  MAYBMS_CHECK(!executed_);
+  std::vector<ComponentId> roots;
+  // The same groups, in the same order, and the same checks as
+  // WsdDb::MergeComponentGroups and Component::Product.
+  for (std::vector<ComponentId> ids : Groups(&roots)) {
+    std::sort(ids.begin(), ids.end());
+    for (ComponentId id : ids) {
+      if (!db.IsLive(id)) {
+        return Status::Internal(StrFormat("merging dead component %u", id));
+      }
+    }
+    size_t rows = db.component(ids[0]).NumRows();
+    for (size_t k = 1; k < ids.size(); ++k) {
+      MAYBMS_ASSIGN_OR_RETURN(
+          rows, Component::ProductRows(rows, db.component(ids[k]).NumRows(),
+                                       db.options().max_component_rows));
+    }
+  }
+  merged_.clear();
   return Status::OK();
 }
 
@@ -359,9 +376,57 @@ Status ComputeRowVerdicts(
 
 }  // namespace
 
+namespace {
+
+// One conjunct of a filter predicate and the columns it reads.
+struct Conjunct {
+  ExprPtr expr;
+  std::vector<size_t> cols;
+};
+
+// True when a leading conjunct over `t`'s certain cells is false: AND
+// stops at a false operand before it evaluates the rest, so the predicate
+// is false in every world of `t` without an error. The walk stops at the
+// first conjunct that reads an uncertain cell, errors, or yields anything
+// but true or NULL; the full evaluation then decides the tuple and
+// reports any error at the same tuple and row as without this shortcut.
+bool RejectedByCertainConjunct(const WsdTuple& t,
+                               const std::vector<Conjunct>& conjuncts,
+                               Tuple* buf) {
+  for (const Conjunct& c : conjuncts) {
+    for (size_t col : c.cols) {
+      if (!t.cells[col].is_certain()) return false;
+      (*buf)[col] = t.cells[col].value();
+    }
+    Result<Value> v = c.expr->Eval(*buf);
+    if (!v.ok()) return false;
+    if (v->is_bool()) {
+      if (!v->as_bool()) return true;
+    } else if (!v->is_null()) {
+      return false;
+    }
+  }
+  return false;
+}
+
+// The distinct components `t` references in `cols`, ascending.
+std::vector<ComponentId> PredicateComponents(const WsdTuple& t,
+                                             const std::vector<size_t>& cols) {
+  std::vector<ComponentId> cids;
+  for (size_t c : cols) {
+    if (t.cells[c].is_ref()) cids.push_back(t.cells[c].ref().cid);
+  }
+  std::sort(cids.begin(), cids.end());
+  cids.erase(std::unique(cids.begin(), cids.end()), cids.end());
+  return cids;
+}
+
+}  // namespace
+
 Status FilterRelationInPlace(WsdDb* db, const std::string& rel_name,
                              const ExprPtr& bound_pred,
-                             const ExecOptions& opts) {
+                             const ExecOptions& opts,
+                             NormalizeScope* touched) {
   MAYBMS_ASSIGN_OR_RETURN(WsdRelation * rel, db->GetMutableRelation(rel_name));
   std::vector<size_t> cols;
   bound_pred->CollectColumns(&cols);
@@ -372,32 +437,95 @@ Status FilterRelationInPlace(WsdDb* db, const std::string& rel_name,
       return Status::OutOfRange("predicate column out of range");
     }
   }
+  Tuple eval_buf(rel->schema().size(), Value::Null());
+
+  // Pass 0: certain conjuncts first.
+  std::vector<Conjunct> conjuncts;
+  {
+    std::vector<ExprPtr> parts;
+    SplitConjuncts(bound_pred, &parts);
+    for (ExprPtr& e : parts) {
+      Conjunct c{std::move(e), {}};
+      c.expr->CollectColumns(&c.cols);
+      conjuncts.push_back(std::move(c));
+    }
+  }
+  std::vector<bool> rejected(rel->NumTuples(), false);
+  size_t num_rejected = 0;
+  bool rejected_spans = false;  // some rejected tuple would need a merge
+  for (size_t i = 0; i < rel->NumTuples(); ++i) {
+    const WsdTuple& t = rel->tuple(i);
+    if (!RejectedByCertainConjunct(t, conjuncts, &eval_buf)) continue;
+    rejected[i] = true;
+    ++num_rejected;
+    if (!rejected_spans && PredicateComponents(t, cols).size() > 1) {
+      rejected_spans = true;
+    }
+  }
+  if (rejected_spans) {
+    // Without the prefilter every tuple's merges run first; one that
+    // exceeds the row budget fails the statement, so it still must.
+    MergePlanner all;
+    for (const auto& t : rel->tuples()) {
+      std::vector<ComponentId> cids = PredicateComponents(t, cols);
+      if (cids.size() > 1) all.Require(cids);
+    }
+    MAYBMS_RETURN_IF_ERROR(all.CheckBudget(*db));
+  }
+  if (num_rejected > 0) {
+    std::vector<WsdTuple> kept;
+    kept.reserve(rel->NumTuples() - num_rejected);
+    for (size_t i = 0; i < rel->NumTuples(); ++i) {
+      if (rejected[i]) {
+        touched->AddTuple(rel->tuple(i));
+      } else {
+        kept.push_back(rel->tuple(i));
+      }
+    }
+    rel->SetTuples(std::move(kept));
+  }
 
   // Pass 1: plan merges for tuples whose predicate spans components.
   MergePlanner planner;
   for (const auto& t : rel->tuples()) {
-    std::vector<ComponentId> cids;
-    for (size_t c : cols) {
-      if (t.cells[c].is_ref()) cids.push_back(t.cells[c].ref().cid);
-    }
-    std::sort(cids.begin(), cids.end());
-    cids.erase(std::unique(cids.begin(), cids.end()), cids.end());
+    std::vector<ComponentId> cids = PredicateComponents(t, cols);
     if (cids.size() > 1) planner.Require(cids);
   }
-  MAYBMS_RETURN_IF_ERROR(planner.Execute(db));
+  MAYBMS_RETURN_IF_ERROR(planner.Execute(db, touched));
 
-  auto usage = CountOwnerUsage(*db);
+  // Owners gating exactly one tuple admit the paper-style in-place ⊥
+  // marking. Only the owners of slots the predicate reads are counted.
+  std::unordered_map<OwnerId, size_t> usage;
+  for (const auto& t : rel->tuples()) {
+    for (size_t c : cols) {
+      const Cell& cell = t.cells[c];
+      if (cell.is_ref()) {
+        usage.emplace(db->component(cell.ref().cid).slot(cell.ref().slot).owner,
+                      0);
+      }
+    }
+  }
+  if (!usage.empty()) {
+    for (const auto& [key, other] : db->relations()) {
+      for (const auto& t : other.tuples()) {
+        for (OwnerId o : t.deps) {
+          auto it = usage.find(o);
+          if (it != usage.end()) ++it->second;
+        }
+      }
+    }
+  }
 
   // Lower the predicate once; every tuple's per-world loop reuses the
   // program and its scratch (component columns are rebound per tuple).
   CompiledEvalPtr ce = TryCompile(*bound_pred, opts);
 
-  // Pass 2: evaluate per tuple.
+  // Pass 2: evaluate per tuple. Components are read through component()
+  // and detached only when a tuple's verdicts change one.
   std::vector<bool> drop(rel->NumTuples(), false);
-  Tuple eval_buf(rel->schema().size(), Value::Null());
   std::vector<RowVerdict> verdicts;
   for (size_t i = 0; i < rel->NumTuples(); ++i) {
-    WsdTuple& t = rel->mutable_tuple(i);
+    const WsdTuple& t = rel->tuple(i);
     // Gather involved cells.
     ComponentId cid = kInvalidComponent;
     std::vector<std::pair<size_t, uint32_t>> ref_cols;  // (col, slot)
@@ -420,9 +548,20 @@ Status FilterRelationInPlace(WsdDb* db, const std::string& rel_name,
       if (!pass) drop[i] = true;
       continue;
     }
-    Component& m = db->mutable_component(cid);
+    const Component& m = db->component(cid);
     MAYBMS_RETURN_IF_ERROR(ComputeRowVerdicts(
         m, bound_pred, ce.get(), ref_cols, &eval_buf, opts, &verdicts));
+    bool any_pass = false, any_fail = false;
+    for (RowVerdict v : verdicts) {
+      any_pass |= v == RowVerdict::kPass;
+      any_fail |= v == RowVerdict::kFail;
+    }
+    // No row lets the tuple pass: it exists in no world of the result.
+    if (!any_pass) {
+      drop[i] = true;
+      continue;
+    }
+    if (!any_fail) continue;  // passes wherever it exists
     // Fast path: an owner gating only this tuple lets us mark ⊥ in place
     // (the paper's algorithm). Any referenced slot's owner is in t.deps.
     OwnerId fast_owner = 0;
@@ -436,16 +575,17 @@ Status FilterRelationInPlace(WsdDb* db, const std::string& rel_name,
         break;
       }
     }
+    Component& mm = db->mutable_component(cid);
     if (have_fast) {
       std::vector<uint32_t> owner_slots;
-      for (uint32_t s = 0; s < m.NumSlots(); ++s) {
-        if (m.slot(s).owner == fast_owner) owner_slots.push_back(s);
+      for (uint32_t s = 0; s < mm.NumSlots(); ++s) {
+        if (mm.slot(s).owner == fast_owner) owner_slots.push_back(s);
       }
-      for (size_t r = 0; r < m.NumRows(); ++r) {
+      for (size_t r = 0; r < mm.NumRows(); ++r) {
         // Dead rows are already absent in these worlds; kept as-is.
         if (verdicts[r] != RowVerdict::kFail) continue;
         for (uint32_t s : owner_slots) {
-          m.SetPacked(r, s, PackedValue::Bottom());
+          mm.SetPacked(r, s, PackedValue::Bottom());
         }
       }
     } else {
@@ -453,48 +593,39 @@ Status FilterRelationInPlace(WsdDb* db, const std::string& rel_name,
       // rows is redundant but compact and does not trigger slot creation
       // by itself.
       std::vector<PackedValue> exist_values;
-      exist_values.reserve(m.NumRows());
-      bool any_alive = false, any_kill = false;
-      for (size_t r = 0; r < m.NumRows(); ++r) {
-        switch (verdicts[r]) {
-          case RowVerdict::kDead:
-            exist_values.push_back(PackedValue::Bottom());
-            break;
-          case RowVerdict::kPass:
-            exist_values.push_back(PackedExistsToken());
-            any_alive = true;
-            break;
-          case RowVerdict::kFail:
-            exist_values.push_back(PackedValue::Bottom());
-            any_kill = true;
-            break;
-        }
+      exist_values.reserve(mm.NumRows());
+      for (RowVerdict v : verdicts) {
+        exist_values.push_back(v == RowVerdict::kPass ? PackedExistsToken()
+                                                      : PackedValue::Bottom());
       }
-      if (!any_alive) {
-        drop[i] = true;
-      } else if (any_kill) {
-        OwnerId fresh = db->NextOwner();
-        m.AddSlotWithPacked(
-            {fresh, "\xCF\x83\xE2\x88\x83" + std::to_string(fresh)},
-            std::move(exist_values));
-        t.AddDep(fresh);
-      }
+      OwnerId fresh = db->NextOwner();
+      mm.AddSlotWithPacked(
+          {fresh, "\xCF\x83\xE2\x88\x83" + std::to_string(fresh)},
+          std::move(exist_values));
+      rel->mutable_tuple(i).AddDep(fresh);
     }
     // Reset buffer columns we touched (cheap hygiene for certain cells of
     // the next tuple).
     for (size_t c : cols) eval_buf[c] = Value::Null();
   }
 
-  // Remove dropped tuples.
-  auto& tuples = rel->mutable_tuples();
-  size_t kept = 0;
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    if (!drop[i]) {
-      if (kept != i) tuples[kept] = std::move(tuples[i]);
-      ++kept;
-    }
+  // Remove dropped tuples; everything read is in the normalization scope.
+  bool any_drop = false;
+  for (size_t i = 0; i < rel->NumTuples(); ++i) {
+    touched->AddTuple(rel->tuple(i));
+    any_drop |= drop[i];
   }
-  tuples.resize(kept);
+  if (any_drop) {
+    auto& tuples = rel->mutable_tuples();
+    size_t kept = 0;
+    for (size_t i = 0; i < tuples.size(); ++i) {
+      if (!drop[i]) {
+        if (kept != i) tuples[kept] = std::move(tuples[i]);
+        ++kept;
+      }
+    }
+    tuples.resize(kept);
+  }
   return Status::OK();
 }
 
@@ -541,7 +672,8 @@ struct KillUnit {
 
 }  // namespace
 
-Status ApplyMatchKills(WsdDb* db, const std::vector<MatchKillSpec>& specs) {
+Status ApplyMatchKills(WsdDb* db, const std::vector<MatchKillSpec>& specs,
+                       NormalizeScope* touched) {
   if (specs.empty()) return Status::OK();
 
   MergePlanner planner;
@@ -731,7 +863,7 @@ Status ApplyMatchKills(WsdDb* db, const std::vector<MatchKillSpec>& specs) {
       units.push_back(std::move(unit));
     }
   }
-  MAYBMS_RETURN_IF_ERROR(planner.Execute(db));
+  MAYBMS_RETURN_IF_ERROR(planner.Execute(db, touched));
 
   // Phase 2: compute one existence slot per unit.
   std::unordered_map<std::string, std::unordered_set<size_t>> removed_set;
@@ -743,11 +875,11 @@ Status ApplyMatchKills(WsdDb* db, const std::vector<MatchKillSpec>& specs) {
         removed_set[unit.target_rel].count(unit.target_idx)) {
       continue;  // already statically dead
     }
-    MAYBMS_ASSIGN_OR_RETURN(WsdRelation * trel,
-                            db->GetMutableRelation(unit.target_rel));
-    WsdTuple& target = trel->mutable_tuple(unit.target_idx);
+    MAYBMS_ASSIGN_OR_RETURN(const WsdRelation* trel,
+                            db->GetRelation(unit.target_rel));
+    const WsdTuple& target = trel->tuple(unit.target_idx);
     ComponentId mid = planner.Resolve(unit.cids[0]);
-    Component& m = db->mutable_component(mid);
+    const Component& m = db->component(mid);
 
     auto view_of = [&](const WsdTuple& t) {
       std::vector<PackedCellView> views;
@@ -840,10 +972,13 @@ Status ApplyMatchKills(WsdDb* db, const std::vector<MatchKillSpec>& specs) {
       removed_set[unit.target_rel].insert(unit.target_idx);
     } else if (any_kill) {
       OwnerId fresh = db->NextOwner();
-      m.AddSlotWithPacked(
+      db->mutable_component(mid).AddSlotWithPacked(
           {fresh, "\xCE\xB4\xE2\x88\x83" + std::to_string(fresh)},
           std::move(exist_values));
-      target.AddDep(fresh);
+      touched->components.push_back(mid);
+      MAYBMS_ASSIGN_OR_RETURN(WsdRelation * mrel,
+                              db->GetMutableRelation(unit.target_rel));
+      mrel->mutable_tuple(unit.target_idx).AddDep(fresh);
     }
   }
 
@@ -854,10 +989,18 @@ Status ApplyMatchKills(WsdDb* db, const std::vector<MatchKillSpec>& specs) {
     std::sort(idxs.begin(), idxs.end(), std::greater<size_t>());
     idxs.erase(std::unique(idxs.begin(), idxs.end()), idxs.end());
     auto& tuples = rel->mutable_tuples();
-    for (size_t idx : idxs) tuples.erase(tuples.begin() + idx);
+    for (size_t idx : idxs) {
+      touched->AddTuple(tuples[idx]);
+      tuples.erase(tuples.begin() + idx);
+    }
   }
   return Status::OK();
 }
 
 }  // namespace lifted_internal
+
+void SetScopedNormalizeCheckForTesting(ScopedNormalizeCheck check) {
+  lifted_internal::g_normalize_check.store(check);
+}
+
 }  // namespace maybms

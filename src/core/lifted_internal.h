@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "core/normalize.h"
 #include "core/wsd.h"
 #include "ra/expr.h"
 #include "ra/expr_compile.h"
@@ -16,24 +17,21 @@
 namespace maybms {
 namespace lifted_internal {
 
-/// Number of tuples (across the whole database) whose deps contain each
-/// owner. Owners with count 1 admit the paper-style in-place ⊥ marking.
-std::unordered_map<OwnerId, size_t> CountOwnerUsage(const WsdDb& db);
+/// Storage-name prefix of the scan copies ExecuteLifted makes of the
+/// base relations a plan reads. A copy no operator has consumed yet is
+/// the database's input as stored, which scoped normalization leaves as
+/// it is until an operator reads it.
+inline constexpr char kScanCopyPrefix[] = "__scan_";
 
-/// Components that contain at least one slot owned by one of `owners`
-/// (sorted). These gate the existence of tuples depending on the owners.
-std::vector<ComponentId> ComponentsGatingOwners(
-    const WsdDb& db, const std::vector<OwnerId>& owners);
+/// Normalizes the part of `db` an operator touched (`owners` may be
+/// null: a locator over `db` is made for the call), then runs the
+/// scoped-normalization cross-check when tests installed one (see
+/// SetScopedNormalizeCheckForTesting in core/lifted.h).
+Status FinishOperator(WsdDb* db, const NormalizeScope& touched,
+                      OwnerLocator* owners);
 
-/// Components that both gate one of `owners` and contain ⊥ on an owned
-/// slot — the only ones that can make a dependent tuple dead. (After
-/// plain or-set insertion there are none.)
-std::vector<ComponentId> BottomGatingComponents(
-    const WsdDb& db, const std::vector<OwnerId>& owners);
-
-/// True when a tuple with these deps exists in every world (no component
-/// carries ⊥ on a dep-owned slot).
-bool AlwaysAlive(const WsdDb& db, const std::vector<OwnerId>& deps);
+/// Splits nested ANDs into their conjuncts, in evaluation order.
+void SplitConjuncts(const ExprPtr& e, std::vector<ExprPtr>* out);
 
 /// owner -> components carrying ⊥ on a slot owned by that owner. Build
 /// once per operator; per-tuple queries then cost O(|deps|).
@@ -115,8 +113,14 @@ class MergePlanner {
   void Require(const std::vector<ComponentId>& cids);
 
   /// Performs the merges. After this call, Resolve() maps any registered
-  /// component to its merged component.
-  Status Execute(WsdDb* db);
+  /// component to its merged component. The merged components are added
+  /// to `touched` when given.
+  Status Execute(WsdDb* db, NormalizeScope* touched = nullptr);
+
+  /// The error Execute would return for exceeding the component-row
+  /// budget (or for a dead component), without merging anything; OK
+  /// when Execute would succeed.
+  Status CheckBudget(const WsdDb& db);
 
   /// The merged id for `cid` (identity when never registered).
   ComponentId Resolve(ComponentId cid) const;
@@ -125,6 +129,9 @@ class MergePlanner {
 
  private:
   ComponentId Find(ComponentId c);
+  /// Groups of two or more components to merge, in Execute's order; the
+  /// root of each lands in `roots`. Singleton groups map to themselves.
+  std::vector<std::vector<ComponentId>> Groups(std::vector<ComponentId>* roots);
   std::unordered_map<ComponentId, ComponentId> parent_;
   std::unordered_map<ComponentId, ComponentId> merged_;  // root -> new id
   bool executed_ = false;
@@ -135,6 +142,19 @@ class MergePlanner {
 /// where the predicate evaluates to true. Implements the paper's
 /// selection, including component merging for multi-component predicates.
 ///
+/// Certain conjuncts first: per tuple, the predicate's leading conjuncts
+/// over certain cells are evaluated in the order AND evaluates them, and
+/// a false one drops the tuple before merge planning, so it never
+/// touches a component. The walk ends at the first conjunct that reads an
+/// uncertain cell, errors, or yields anything but true or NULL, and
+/// leaves the tuple to the full evaluation. So a statement fails exactly
+/// when (and with the same Status as) it would without the walk; the
+/// merge budget is still checked over every tuple. A tuple no component
+/// row lets pass is dropped at once.
+///
+/// Every tuple the filter read or changed, kept or dropped, is added to
+/// `touched` (the scope of the normalization that follows).
+///
 /// The per-world evaluation loops run on the compiled vectorized
 /// evaluator (ra/expr_compile.h) directly over the component's packed
 /// columns when `opts.compile_expressions` is set and the predicate
@@ -143,7 +163,7 @@ class MergePlanner {
 /// construction.
 Status FilterRelationInPlace(WsdDb* db, const std::string& rel_name,
                              const ExprPtr& bound_pred,
-                             const ExecOptions& opts = {});
+                             const ExecOptions& opts, NormalizeScope* touched);
 
 /// The distinct non-⊥ values a cell can take (single value for certain
 /// cells, slot values otherwise).
@@ -169,7 +189,10 @@ struct MatchKillSpec {
   std::vector<Source> sources;
 };
 
-Status ApplyMatchKills(WsdDb* db, const std::vector<MatchKillSpec>& specs);
+/// The tuples it removes and the components it changes are added to
+/// `touched`.
+Status ApplyMatchKills(WsdDb* db, const std::vector<MatchKillSpec>& specs,
+                       NormalizeScope* touched);
 
 }  // namespace lifted_internal
 }  // namespace maybms

@@ -263,9 +263,19 @@ Result<std::vector<ComponentId>> WsdDb::MergeComponentGroups(
   }
   if (!remap.empty()) {
     ref_index_.reset();
+    // Only the tuples that reference a merged component are rewritten, so
+    // a relation that references none is not detached.
     for (auto& [key, rel] : relations_) {
-      for (auto& t : rel.mutable_tuples()) {
-        for (auto& cell : t.cells) {
+      for (size_t i = 0; i < rel.NumTuples(); ++i) {
+        bool touches = false;
+        for (const Cell& cell : rel.tuple(i).cells) {
+          if (cell.is_ref() && remap.count(cell.ref().cid)) {
+            touches = true;
+            break;
+          }
+        }
+        if (!touches) continue;
+        for (auto& cell : rel.mutable_tuple(i).cells) {
           if (!cell.is_ref()) continue;
           auto it = remap.find(cell.ref().cid);
           if (it != remap.end()) {

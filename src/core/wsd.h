@@ -187,6 +187,14 @@ class WsdRelation {
     Detach();
     tuples_->push_back(std::move(t));
   }
+  /// Installs `tuples` as the relation's tuples. The current vector is
+  /// released, not detached: a filter that keeps a few tuples of a
+  /// shared relation copies only those.
+  void SetTuples(std::vector<WsdTuple> tuples) {
+    set_cached_shards(nullptr);
+    tuples_ = std::make_shared<std::vector<WsdTuple>>(std::move(tuples));
+    head_ = 0;
+  }
   void Reserve(size_t n) {
     Detach();
     tuples_->reserve(head_ + n);
@@ -477,21 +485,6 @@ class WsdDb {
   /// tables joined by ×.
   std::string ToString() const;
 
- private:
-  /// Recording hook installed by an in-flight ApplyDelta: while active,
-  /// the component mutators append touched ids here instead of clearing
-  /// every relation's shard cache wholesale; the delta epilogue then
-  /// invalidates only the relations that reference a touched component.
-  struct DeltaScope {
-    std::vector<ComponentId> dirty;
-    std::vector<ComponentId> removed;
-    /// Slot owners of every touched component (captured before removal,
-    /// while the slots are still readable): the epilogue marks relations
-    /// whose tuples are *gated* by a touched component dirty, not just
-    /// relations whose cells reference one.
-    std::vector<OwnerId> touched_owners;
-  };
-
   /// Who references what, so component GC costs O(delta) instead of a
   /// pass over the whole database. A count reaching zero erases its key,
   /// so a maintained index equals a rebuild exactly.
@@ -517,6 +510,28 @@ class WsdDb {
              slot_comps == o.slot_comps;
     }
   };
+
+  /// The maintained reference index, shared; null when the database
+  /// keeps none. Lifted evaluation reads its owner → components part to
+  /// find the components a tuple is gated by without a pass over the
+  /// component store (core/normalize.h, OwnerLocator).
+  std::shared_ptr<const RefIndex> ref_index() const { return ref_index_; }
+
+ private:
+  /// Recording hook installed by an in-flight ApplyDelta: while active,
+  /// the component mutators append touched ids here instead of clearing
+  /// every relation's shard cache wholesale; the delta epilogue then
+  /// invalidates only the relations that reference a touched component.
+  struct DeltaScope {
+    std::vector<ComponentId> dirty;
+    std::vector<ComponentId> removed;
+    /// Slot owners of every touched component (captured before removal,
+    /// while the slots are still readable): the epilogue marks relations
+    /// whose tuples are *gated* by a touched component dirty, not just
+    /// relations whose cells reference one.
+    std::vector<OwnerId> touched_owners;
+  };
+
   RefIndex BuildRefIndex() const;
   /// The index, built when absent and detached when shared.
   RefIndex& MutableRefIndex();

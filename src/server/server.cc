@@ -341,6 +341,9 @@ bool Server::ServeDotCommand(const std::shared_ptr<Conn>& conn,
         "rejected_rate_limit " + std::to_string(c.rejected_rate_limit),
         "rejected_overload " + std::to_string(c.rejected_overload),
         "catalog_version " + std::to_string(catalog_->version()),
+        "checkpoint_failures " +
+            std::to_string(catalog_->checkpoint_failures()),
+        "wal_records " + std::to_string(catalog_->wal_records()),
         "workers " + std::to_string(options_.workers),
         "result_cache_hits " + std::to_string(c.result_cache_hits),
         "result_cache_misses " + std::to_string(c.result_cache_misses),

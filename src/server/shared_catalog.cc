@@ -41,6 +41,9 @@ void SharedCatalog::PublishLocked() {
   published_.store(raw, std::memory_order_seq_cst);
   version_.fetch_add(1, std::memory_order_acq_rel);
   if (old != nullptr) epochs_.Retire(std::move(old));
+  checkpoint_failures_.store(writer_.checkpoint_failures(),
+                             std::memory_order_relaxed);
+  wal_records_.store(writer_.wal_record_count(), std::memory_order_relaxed);
 }
 
 WsdDb SharedCatalog::SnapshotCopy() const {

@@ -75,6 +75,14 @@ class SharedCatalog {
   uint64_t version() const {
     return version_.load(std::memory_order_acquire);
   }
+  /// The writer session's failed automatic checkpoints and its WAL
+  /// length, as of the last publish (the server's `.stats`).
+  uint64_t checkpoint_failures() const {
+    return checkpoint_failures_.load(std::memory_order_relaxed);
+  }
+  uint64_t wal_records() const {
+    return wal_records_.load(std::memory_order_relaxed);
+  }
   /// Catalog versions awaiting reclamation (for tests).
   size_t RetiredVersions() const { return epochs_.LimboSize(); }
 
@@ -90,6 +98,8 @@ class SharedCatalog {
   std::shared_ptr<const WsdDb> published_owner_;
   std::atomic<const WsdDb*> published_{nullptr};
   std::atomic<uint64_t> version_{0};
+  std::atomic<uint64_t> checkpoint_failures_{0};
+  std::atomic<uint64_t> wal_records_{0};
 
   /// Per-relation writers hold this shared + their relation's mutex;
   /// catalog-wide writers hold it exclusive.

@@ -89,6 +89,78 @@ ExprPtr ShiftColumns(const ExprPtr& e, size_t offset, const Schema& child) {
   return MapColumns(e, [offset](size_t i) { return i - offset; }, &child);
 }
 
+// True when a column of type `t` compares with `v` without a type error.
+bool ComparableWith(ValueType t, const Value& v) {
+  switch (t) {
+    case ValueType::kBool:
+      return v.is_bool();
+    case ValueType::kInt:
+    case ValueType::kDouble:
+      return v.is_numeric();
+    case ValueType::kString:
+      return v.is_string();
+  }
+  return false;
+}
+
+/// Carries constant equalities across equi-join conjuncts: from a.x = b.y
+/// and a.x = c (all bound against the product's schema), every pair the
+/// predicate keeps has b.y = c, so that conjunct is derived too and can
+/// filter b's input before the join. Returns the derived conjuncts only,
+/// each on a column of a type the constant compares with, never a NULL.
+std::vector<ExprPtr> DeriveJoinConstants(const std::vector<ExprPtr>& conjuncts,
+                                         const Schema& schema,
+                                         size_t left_arity) {
+  std::vector<std::pair<size_t, Value>> consts;  // column = constant
+  std::vector<std::pair<size_t, size_t>> equi;   // left column = right one
+  for (const ExprPtr& c : conjuncts) {
+    if (c->kind() != ExprKind::kCompare || c->compare_op() != CompareOp::kEq) {
+      continue;
+    }
+    const ExprPtr& l = c->left();
+    const ExprPtr& r = c->right();
+    if (l->kind() == ExprKind::kColumn && r->kind() == ExprKind::kColumn) {
+      size_t a = l->column_index(), b = r->column_index();
+      if (a > b) std::swap(a, b);
+      if (a < left_arity && b >= left_arity) equi.emplace_back(a, b);
+    } else if (l->kind() == ExprKind::kColumn &&
+               r->kind() == ExprKind::kConst && !r->const_value().is_null()) {
+      consts.emplace_back(l->column_index(), r->const_value());
+    } else if (r->kind() == ExprKind::kColumn &&
+               l->kind() == ExprKind::kConst && !l->const_value().is_null()) {
+      consts.emplace_back(r->column_index(), l->const_value());
+    }
+  }
+  std::vector<ExprPtr> derived;
+  auto known = [&](size_t col, const Value& v) {
+    for (const auto& [c, cv] : consts) {
+      if (c == col && cv == v) return true;
+    }
+    return false;
+  };
+  // Closure over chains of equi-joins (a.x = b.y = ...).
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (const auto& [a, b] : equi) {
+      for (size_t k = 0; k < consts.size(); ++k) {
+        const size_t from = consts[k].first;
+        if (from != a && from != b) continue;
+        const size_t to = from == a ? b : a;
+        const Value v = consts[k].second;
+        if (known(to, v) || !ComparableWith(schema.attr(to).type, v)) {
+          continue;
+        }
+        consts.emplace_back(to, v);
+        derived.push_back(Expr::Compare(
+            CompareOp::kEq, Expr::ColumnIdx(to, schema.attr(to).name),
+            Expr::Const(v)));
+        grew = true;
+      }
+    }
+  }
+  return derived;
+}
+
 // ---------------------------------------------------------------------------
 // Constant folding
 // ---------------------------------------------------------------------------
@@ -565,6 +637,19 @@ class Optimizer {
       MAYBMS_ASSIGN_OR_RETURN(ExprPtr bound, pred->BindAgainst(concat));
       std::vector<ExprPtr> conjuncts;
       SplitConjuncts(bound, &conjuncts);
+      {
+        std::vector<ExprPtr> all = conjuncts;
+        if (input->kind() == PlanKind::kJoin && input->predicate()) {
+          auto join_bound = input->predicate()->BindAgainst(concat);
+          if (join_bound.ok()) SplitConjuncts(*join_bound, &all);
+        }
+        // Derived conjuncts go first: a conjunct over certain cells that
+        // comes first lets the lifted filter drop a tuple before it
+        // touches the tuple's components.
+        std::vector<ExprPtr> derived =
+            DeriveJoinConstants(all, concat, larity);
+        conjuncts.insert(conjuncts.begin(), derived.begin(), derived.end());
+      }
       std::vector<ExprPtr> to_left, to_right, cross;
       for (const auto& c : conjuncts) {
         if (IsConstBool(c, true)) continue;  // no-op conjunct

@@ -241,6 +241,7 @@ Status Session::Checkpoint() {
       wal::WalWriter::Create(env(), attach_->wal_path, fingerprint,
                              /*base_lsn=*/1));
   attach_->writer.emplace(std::move(writer));
+  attach_->next_auto_checkpoint = 0;
   return Status::OK();
 }
 
@@ -741,10 +742,22 @@ Result<DeltaEffects> Session::ApplyDelta(const DeltaBatch& batch) {
     // log never keeps a failing record (replay treats one as corruption
     // unless it is the log's last).
     CheckpointOrDetach();
-  } else if (threshold > 0 && attach_->writer->record_count() >= threshold) {
-    // Non-fatal: the batch is durable in the log either way; a failed
-    // checkpoint retries on the next crossing.
-    (void)Checkpoint();
+  } else if (threshold > 0) {
+    const uint64_t records = attach_->writer->record_count();
+    const uint64_t due = attach_->next_auto_checkpoint > 0
+                             ? attach_->next_auto_checkpoint
+                             : threshold;
+    if (records >= due) {
+      // Non-fatal: the batch is durable in the log either way. A failure
+      // is counted and retried one threshold later, so a save that keeps
+      // failing does not re-serialize the database on every write.
+      Status st = Checkpoint();
+      if (!st.ok()) {
+        ++checkpoint_failures_;
+        last_checkpoint_error_ = std::move(st);
+        if (attach_) attach_->next_auto_checkpoint = records + threshold;
+      }
+    }
   }
   return effects;
 }

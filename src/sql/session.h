@@ -41,7 +41,10 @@ struct DurabilityOptions {
   bool wal_enabled = true;
   /// Checkpoint automatically once the log holds this many records
   /// (0 = only on explicit CHECKPOINT). A failed auto-checkpoint does
-  /// not fail the mutation — the log keeps the data safe.
+  /// not fail the mutation — the log keeps the data safe. It is counted
+  /// (Session::checkpoint_failures, the server's `.stats`) and retried
+  /// when the log has grown by this many records again, not on every
+  /// write.
   size_t auto_checkpoint_records = 256;
 };
 
@@ -153,6 +156,13 @@ class Session {
   /// attachment.
   Status Checkpoint();
 
+  /// Automatic checkpoints that failed since the session started, and
+  /// the last one's error (OK when none failed).
+  uint64_t checkpoint_failures() const { return checkpoint_failures_; }
+  const Status& last_checkpoint_error() const {
+    return last_checkpoint_error_;
+  }
+
   /// True while the session serves queries from a mapped snapshot
   /// (LOAD DATABASE ... MAPPED) instead of the resident database.
   bool is_mapped() const { return mapped_.has_value(); }
@@ -178,6 +188,9 @@ class Session {
     std::string wal_path;
     SnapshotFormat format = SnapshotFormat::kBinary;
     std::optional<wal::WalWriter> writer;
+    /// Log length at which the next automatic checkpoint runs; 0 = at
+    /// the threshold. A failure moves it one threshold further.
+    uint64_t next_auto_checkpoint = 0;
   };
 
   Result<StatementResult> RunSelect(const SelectStmt& stmt);
@@ -233,6 +246,8 @@ class Session {
   size_t conf_cache_capacity_ = 0;
   Env* env_ = nullptr;
   std::optional<DurableAttachment> attach_;
+  uint64_t checkpoint_failures_ = 0;
+  Status last_checkpoint_error_;
 };
 
 }  // namespace sql

@@ -11,6 +11,8 @@
 //     contract), including after mid-batch failures — for every op
 //     kind, relation create/drop and domain ENFORCE included — with
 //     the same live component ids and allocation point;
+//   - lifted reads agree exactly with reads over a fully normalized
+//     copy, and each operator's scoped normalization with a full one;
 //   - both replicas pass CheckInvariants, which cross-checks the
 //     maintained reference index against a rebuild. Half the runs are
 //     evict-heavy, interleaving evictions with the ops that drop the
@@ -28,12 +30,18 @@
 #include "core/approx_conf.h"
 #include "core/confidence.h"
 #include "core/delta.h"
+#include "core/lifted_executor.h"
 #include "core/materialized_conf.h"
+#include "core/normalize.h"
 #include "sql/session.h"
 #include "tests/test_util.h"
 
 namespace maybms {
 namespace {
+
+// Every lifted operator in this suite cross-checks its scoped
+// normalization against a full Normalize of a copy.
+const testing_util::ScopedNormalizeCrossCheck kNormalizeCrossCheck;
 
 using testing_util::DbsExactlyEqual;
 using testing_util::RandomWsd;
@@ -243,6 +251,29 @@ TEST(DeltaFuzz, IncrementalEqualsScratchBitForBit) {
           ASSERT_EQ(ap_incr->ToString(), ap_scratch->ToString())
               << "APPROX CONF diverged on " << rel << " at iter " << iter;
         }
+      }
+
+      // Lifted reads over the evolving database, whose streams keep a
+      // reference index: every operator's scoped normalization is
+      // cross-checked against a full one, and the answer represents the
+      // same worlds as the one read from a fully normalized copy.
+      Rng read_rng(iter * 7919 + b);
+      WsdDb normalized = session.db();
+      MAYBMS_ASSERT_OK(Normalize(&normalized).status());
+      for (const std::string& rel : session.db().RelationNames()) {
+        const WsdRelation& r = *session.db().GetRelation(rel).value();
+        PlanPtr read =
+            Plan::Select(Plan::Scan(rel), RandomPredicate(&read_rng, r));
+        auto scoped = ExecuteLifted(read, session.db());
+        auto full = ExecuteLifted(read, normalized);
+        ASSERT_EQ(scoped.ok(), full.ok()) << read->ToString();
+        if (!scoped.ok()) continue;
+        auto scoped_worlds = EnumerateWorlds(*scoped, 1u << 10);
+        auto full_worlds = EnumerateWorlds(*full, 1u << 10);
+        if (!scoped_worlds.ok() || !full_worlds.ok()) continue;  // too many
+        testing_util::ExpectDistEq(
+            testing_util::RelationDistribution(*full_worlds, "result"),
+            testing_util::RelationDistribution(*scoped_worlds, "result"));
       }
     }
     // Not every generated db admits a successful confidence query

@@ -481,6 +481,73 @@ TEST(SessionDeltaTest, ApplyDeltaLogsOneWalRecordAndRecovers) {
   testing_util::ExpectDbsExactlyEqual(s.db(), r.db());
 }
 
+// An in-memory filesystem whose snapshot writes fail while `fail` is
+// set; the WAL keeps working.
+class FailingSnapshotEnv : public FaultInjectingEnv {
+ public:
+  bool fail = false;
+  int snapshot_writes = 0;
+
+  Result<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path, bool truncate) override {
+    if (path == "db.tmp") {
+      ++snapshot_writes;
+      if (fail) return Status::IOError("injected snapshot write failure");
+    }
+    return FaultInjectingEnv::NewWritableFile(path, truncate);
+  }
+};
+
+TEST(SessionDeltaTest, FailedAutoCheckpointIsCountedAndBackedOff) {
+  FailingSnapshotEnv env;
+  sql::Session s;
+  s.set_env(&env);
+  MAYBMS_ASSERT_OK(
+      s.Execute("SET durability.auto_checkpoint_records = 4").status());
+  MAYBMS_ASSERT_OK(s.Execute("CREATE TABLE t (k INT, v STRING)").status());
+  MAYBMS_ASSERT_OK(s.Execute("SAVE DATABASE 'db'").status());
+  ASSERT_EQ(env.snapshot_writes, 1);
+
+  // Every write is still acknowledged; the failed checkpoint is counted
+  // once per threshold crossing (records 4, 8, 12), not retried on every
+  // write past the first crossing.
+  env.fail = true;
+  for (int64_t k = 1; k <= 12; ++k) {
+    DeltaBatch batch;
+    batch.Insert("t", UncertainRow(k));
+    MAYBMS_ASSERT_OK(s.ApplyDelta(batch).status());
+    EXPECT_EQ(s.checkpoint_failures(), static_cast<uint64_t>(k / 4))
+        << "write " << k;
+  }
+  EXPECT_EQ(env.snapshot_writes, 1 + 3);
+  EXPECT_EQ(s.wal_record_count(), 12u);
+  EXPECT_EQ(s.last_checkpoint_error().code(), StatusCode::kIOError);
+
+  // Recovery from the old snapshot plus the whole log is exact.
+  {
+    sql::Session r;
+    r.set_env(&env);
+    MAYBMS_ASSERT_OK(r.Execute("LOAD DATABASE 'db'").status());
+    testing_util::ExpectDbsExactlyEqual(s.db(), r.db());
+  }
+
+  // Once saves work again, the next crossing checkpoints and resets the
+  // log; the counter keeps its history.
+  env.fail = false;
+  for (int64_t k = 13; k <= 16; ++k) {
+    DeltaBatch batch;
+    batch.Insert("t", UncertainRow(k));
+    MAYBMS_ASSERT_OK(s.ApplyDelta(batch).status());
+  }
+  EXPECT_EQ(env.snapshot_writes, 1 + 3 + 1);
+  EXPECT_EQ(s.wal_record_count(), 0u);
+  EXPECT_EQ(s.checkpoint_failures(), 3u);
+  sql::Session r;
+  r.set_env(&env);
+  MAYBMS_ASSERT_OK(r.Execute("LOAD DATABASE 'db'").status());
+  testing_util::ExpectDbsExactlyEqual(s.db(), r.db());
+}
+
 TEST(SessionDeltaTest, UnserializableBatchFailsBeforeApplying) {
   // Under a durable attachment, a batch that cannot reach the WAL must
   // not mutate the database either (log-before-apply).

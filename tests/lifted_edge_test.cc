@@ -7,11 +7,18 @@
 #include "core/confidence.h"
 #include "core/lifted.h"
 #include "core/lifted_executor.h"
+#include "core/lifted_internal.h"
+#include "core/normalize.h"
+#include "ra/executor.h"
 #include "tests/test_util.h"
 #include "worlds/enumerate.h"
 
 namespace maybms {
 namespace {
+
+// Every lifted operator in this suite cross-checks its scoped
+// normalization against a full Normalize of a copy.
+const testing_util::ScopedNormalizeCrossCheck kNormalizeCrossCheck;
 
 using testing_util::MedicalExample;
 
@@ -265,6 +272,229 @@ TEST(LiftedEdge, SelfJoinPreservesCorrelation) {
   ASSERT_TRUE(ec.ok());
   // In every world the single tuple joins with itself exactly once.
   EXPECT_NEAR(*ec, 1.0, 1e-12);
+}
+
+// --- certain conjuncts first and scoped normalization ----------------------
+
+ExprPtr Cmp(CompareOp op, ExprPtr l, ExprPtr r) {
+  return Expr::Compare(op, std::move(l), std::move(r));
+}
+
+// r(k INT, v STRING, w STRING): k certain, v and w two-way or-sets in
+// components of their own.
+WsdDb KeyedOrSetDb(const std::vector<int64_t>& keys) {
+  WsdDb db;
+  EXPECT_TRUE(db.CreateRelation("r", Schema({{"k", ValueType::kInt},
+                                             {"v", ValueType::kString},
+                                             {"w", ValueType::kString}}))
+                  .ok());
+  for (int64_t k : keys) {
+    EXPECT_TRUE(InsertTuple(&db, "r",
+                            {CellSpec::Certain(Value::Int(k)),
+                             CellSpec::OrSet({{Value::String("a"), 0.5},
+                                              {Value::String("b"), 0.5}}),
+                             CellSpec::OrSet({{Value::String("a"), 0.3},
+                                              {Value::String("c"), 0.7}})})
+                    .ok());
+  }
+  return db;
+}
+
+// The answer distribution of `plan` lifted equals running it in every
+// world of `db` (the enumeration oracle).
+void ExpectMatchesWorlds(const PlanPtr& plan, const WsdDb& db) {
+  auto lifted = ExecuteLifted(plan, db);
+  ASSERT_TRUE(lifted.ok()) << lifted.status().ToString();
+  MAYBMS_ASSERT_OK(lifted->CheckInvariants());
+  auto out = EnumerateWorlds(*lifted);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  auto in = EnumerateWorlds(db);
+  ASSERT_TRUE(in.ok()) << in.status().ToString();
+  std::map<std::string, double> expected;
+  for (const auto& w : *in) {
+    auto rel = Execute(plan, w.catalog);
+    ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+    expected[testing_util::CanonicalBag(*rel)] += w.prob;
+  }
+  testing_util::ExpectDistEq(
+      expected, testing_util::RelationDistribution(*out, "result"));
+}
+
+TEST(CertainFirst, ErroringConjunctKeepsItsStatus) {
+  WsdDb db = KeyedOrSetDb({0, 1, 2});
+  auto bad = Cmp(CompareOp::kGt, Col("v"), Lit(Value::Int(3)));  // str > int
+  auto none = Cmp(CompareOp::kEq, Col("k"), Lit(Value::Int(7)));
+  auto one = Cmp(CompareOp::kEq, Col("k"), Lit(Value::Int(1)));
+  auto run = [&](const ExprPtr& pred) {
+    return ExecuteLifted(Plan::Select(Plan::Scan("r"), pred), db).status();
+  };
+  // The erroring conjunct comes first: AND evaluates it on every tuple,
+  // so the certain conjunct after it must not hide the error.
+  Status first = run(Expr::And(bad, none));
+  EXPECT_EQ(first.code(), StatusCode::kTypeMismatch) << first.ToString();
+  EXPECT_NE(first.message().find("cannot compare"), std::string::npos);
+  // A certain conjunct first that rejects every tuple: AND never reaches
+  // the erroring one, with or without the prefilter.
+  MAYBMS_EXPECT_OK(run(Expr::And(none, bad)));
+  // ... and one tuple it keeps reaches it, with the same error as when
+  // the erroring conjunct runs first.
+  Status kept = run(Expr::And(one, bad));
+  EXPECT_EQ(kept.code(), first.code());
+  EXPECT_EQ(kept.message(), first.message());
+  // A certain conjunct that errors itself is not a rejection.
+  auto certain_bad = Cmp(CompareOp::kGt, Col("k"), Lit(Value::String("x")));
+  Status both = run(Expr::And(certain_bad, none));
+  EXPECT_EQ(both.code(), StatusCode::kTypeMismatch) << both.ToString();
+}
+
+TEST(CertainFirst, MergeBudgetStillCoversRejectedTuples) {
+  // v = w spans two 2-row components per tuple: a merge of 4 rows, over
+  // a budget of 3. Merges run for every tuple before any is evaluated,
+  // so the statement fails even when a certain conjunct rejects them all
+  // — with the same Status as when that conjunct comes last.
+  WsdDb db = KeyedOrSetDb({0, 1, 2});
+  db.mutable_options().max_component_rows = 3;
+  auto cross = Cmp(CompareOp::kEq, Col("v"), Col("w"));
+  auto none = Cmp(CompareOp::kEq, Col("k"), Lit(Value::Int(7)));
+  auto run = [&](const ExprPtr& pred) {
+    return ExecuteLifted(Plan::Select(Plan::Scan("r"), pred), db).status();
+  };
+  Status prefiltered = run(Expr::And(none, cross));
+  Status last = run(Expr::And(cross, none));
+  EXPECT_EQ(prefiltered.code(), StatusCode::kResourceExhausted)
+      << prefiltered.ToString();
+  EXPECT_EQ(prefiltered.code(), last.code());
+  EXPECT_EQ(prefiltered.message(), last.message());
+}
+
+TEST(CertainFirst, UnnormalizedBaseReadsLikeANormalizedOne) {
+  // The stored database need not be normal: a one-alternative or-set is
+  // a one-row component, and duplicate alternatives are separate rows.
+  // Whatever the plan reads must come out exactly as if the whole input
+  // had been normalized first.
+  WsdDb db;
+  MAYBMS_ASSERT_OK(db.CreateRelation(
+      "r", Schema({{"k", ValueType::kInt}, {"v", ValueType::kString}})));
+  ASSERT_TRUE(InsertTuple(&db, "r",
+                          {CellSpec::Certain(Value::Int(1)),
+                           CellSpec::OrSet({{Value::String("x"), 1.0}})})
+                  .ok());
+  ASSERT_TRUE(InsertTuple(&db, "r",
+                          {CellSpec::Certain(Value::Int(2)),
+                           CellSpec::OrSet({{Value::String("a"), 0.25},
+                                            {Value::String("a"), 0.25},
+                                            {Value::String("b"), 0.5}})})
+                  .ok());
+  ASSERT_TRUE(InsertTuple(&db, "r",
+                          {CellSpec::Certain(Value::Int(3)),
+                           CellSpec::OrSet({{Value::String("y"), 1.0}})})
+                  .ok());
+  WsdDb normalized = db;
+  MAYBMS_ASSERT_OK(Normalize(&normalized).status());
+  auto k_le_2 = Cmp(CompareOp::kLe, Col("k"), Lit(Value::Int(2)));
+  auto k_is_2 = Cmp(CompareOp::kEq, Col("k"), Lit(Value::Int(2)));
+  auto same_v = Cmp(CompareOp::kEq, Expr::ColumnIdx(1, "v"),
+                    Expr::ColumnIdx(3, "r.v"));
+  const PlanPtr plans[] = {
+      Plan::Select(Plan::Scan("r"), k_le_2),
+      Plan::Scan("r"),
+      Plan::Sort(Plan::Scan("r"), {"k"}, {true}),
+      Plan::Join(Plan::Select(Plan::Scan("r"), k_is_2), Plan::Scan("r"),
+                 same_v),
+  };
+  for (const PlanPtr& plan : plans) {
+    SCOPED_TRACE(plan->ToString());
+    auto raw = ExecuteLifted(plan, db);
+    auto norm = ExecuteLifted(plan, normalized);
+    ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+    ASSERT_TRUE(norm.ok()) << norm.status().ToString();
+    testing_util::ExpectNormalizeChangesNothing(*raw);
+    auto conf_raw = ConfTable(*raw, "result");
+    auto conf_norm = ConfTable(*norm, "result");
+    ASSERT_TRUE(conf_raw.ok() && conf_norm.ok());
+    EXPECT_EQ(conf_raw->ToString(), conf_norm->ToString());
+    ExpectMatchesWorlds(plan, db);
+  }
+}
+
+TEST(CertainFirst, SelfJoinCopiesSharingOwnersArePrefiltered) {
+  WsdDb db = KeyedOrSetDb({0, 1, 1, 2});
+  // A selection on one scan copy while the other copy, which shares its
+  // owners, is still unread: the uncertain conjunct takes the
+  // existence-slot path for the tuples the certain one keeps.
+  auto k_is_1 = Cmp(CompareOp::kEq, Col("k"), Lit(Value::Int(1)));
+  auto v_is_a = Cmp(CompareOp::kEq, Col("v"), Lit(Value::String("a")));
+  auto same_k = Cmp(CompareOp::kEq, Expr::ColumnIdx(0, "k"),
+                    Expr::ColumnIdx(3, "r.k"));
+  ExpectMatchesWorlds(
+      Plan::Join(Plan::Select(Plan::Scan("r"), Expr::And(k_is_1, v_is_a)),
+                 Plan::Scan("r"), same_k),
+      db);
+  // The product pairs every tuple with every tuple of the same relation,
+  // so each owner gates several pairs; the certain conjuncts reject most
+  // pairs before the uncertain ones add existence slots.
+  auto pred = Expr::And(
+      Expr::And(Cmp(CompareOp::kEq, Expr::ColumnIdx(0, "k"),
+                    Lit(Value::Int(1))),
+                Cmp(CompareOp::kEq, Expr::ColumnIdx(3, "r.k"),
+                    Expr::ColumnIdx(0, "k"))),
+      Expr::And(Cmp(CompareOp::kEq, Expr::ColumnIdx(1, "v"),
+                    Lit(Value::String("a"))),
+                Cmp(CompareOp::kEq, Expr::ColumnIdx(5, "r.w"),
+                    Lit(Value::String("c")))));
+  ExpectMatchesWorlds(
+      Plan::Select(Plan::Product(Plan::Scan("r"), Plan::Scan("r")), pred),
+      db);
+}
+
+TEST(CertainFirst, TupleNoRowLetsPassIsDroppedAtOnce) {
+  // The tuple owns its component alone (the in-place ⊥ path), and no row
+  // passes: the filter drops it itself, without marking the component.
+  WsdDb db = KeyedOrSetDb({0, 1});
+  const ComponentId v_of_first =
+      db.GetRelation("r").value()->tuple(0).cells[1].ref().cid;
+  const Component before = db.component(v_of_first);
+  auto pred = Expr::Or(
+      Cmp(CompareOp::kEq, Col("v"), Lit(Value::String("z"))),
+      Cmp(CompareOp::kEq, Col("k"), Lit(Value::Int(1))));
+  auto bound = pred->BindAgainst(db.GetRelation("r").value()->schema());
+  ASSERT_TRUE(bound.ok());
+  NormalizeScope touched;
+  MAYBMS_ASSERT_OK(lifted_internal::FilterRelationInPlace(&db, "r", *bound,
+                                                          {}, &touched));
+  const WsdRelation* rel = db.GetRelation("r").value();
+  ASSERT_EQ(rel->NumTuples(), 1u);
+  EXPECT_EQ(rel->tuple(0).cells[0].value(), Value::Int(1));
+  // Left for normalization to collect, untouched.
+  const Component& after = db.component(v_of_first);
+  ASSERT_EQ(after.NumRows(), before.NumRows());
+  for (size_t r = 0; r < after.NumRows(); ++r) {
+    EXPECT_FALSE(after.IsBottomAt(r, 0));
+  }
+}
+
+TEST(ScopedNormalize, PointReadVisitsOnlyWhatItReads) {
+  // 64 readings, 4 of them at k = 1; each reading has two components.
+  // The read releases the other 120 components unvisited.
+  std::vector<int64_t> keys;
+  for (int i = 0; i < 64; ++i) keys.push_back(i % 16);
+  WsdDb db = KeyedOrSetDb(keys);
+  // The cross-check's full runs count too; leave it out of this read.
+  SetScopedNormalizeCheckForTesting(nullptr);
+  const uint64_t visited = NormalizeComponentsVisitedTotal();
+  const uint64_t released = NormalizeComponentsReleasedTotal();
+  auto result = ExecuteLifted(
+      Plan::Select(Plan::Scan("r"),
+                   Cmp(CompareOp::kEq, Col("k"), Lit(Value::Int(1)))),
+      db);
+  const uint64_t visits = NormalizeComponentsVisitedTotal() - visited;
+  const uint64_t releases = NormalizeComponentsReleasedTotal() - released;
+  SetScopedNormalizeCheckForTesting(
+      &testing_util::ExpectNormalizeChangesNothing);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->GetRelation("result").value()->NumTuples(), 4u);
+  EXPECT_EQ(releases, 120u);
+  EXPECT_LE(visits, 2u * 8u);
 }
 
 }  // namespace

@@ -200,6 +200,51 @@ TEST(OptimizerGolden, ConjunctSplitOverProduct) {
             "    Scan s");
 }
 
+TEST(OptimizerGolden, ConstantEqualityCarriesAcrossEquiJoin) {
+  // a = s.a AND a = 2 keeps only pairs with s.a = 2: the derived conjunct
+  // filters s before the join instead of after it.
+  WsdDb db = TwoTableDb();
+  auto plan = Plan::Select(
+      Plan::Product(Plan::Scan("r"), Plan::Scan("s")),
+      Expr::And(Cmp(CompareOp::kEq, Col("a"), Col("s.a")),
+                Cmp(CompareOp::kEq, Col("a"), IntLit(2))));
+  EXPECT_EQ(OptimizedText(plan, db, Only(&OptimizerOptions::push_predicates)),
+            "Join (a = s.a)\n"
+            "  Select (a = 2)\n"
+            "    Scan r\n"
+            "  Select (a = 2)\n"
+            "    Scan s");
+  // The other way round, with the constant on the left of `=` and the
+  // equi-join already in a Join node.
+  auto join = Plan::Select(
+      Plan::Join(Plan::Scan("r"), Plan::Scan("s"),
+                 Cmp(CompareOp::kEq, Expr::ColumnIdx(0, "a"),
+                     Expr::ColumnIdx(2, "s.a"))),
+      Cmp(CompareOp::kEq, IntLit(1), Col("s.a")));
+  EXPECT_EQ(OptimizedText(join, db, Only(&OptimizerOptions::push_predicates)),
+            "Join (a = s.a)\n"
+            "  Select (a = 1)\n"
+            "    Scan r\n"
+            "  Select (1 = a)\n"
+            "    Scan s");
+}
+
+TEST(OptimizerGolden, NegativeConstantOfOtherTypeIsNotCarried) {
+  // A string constant never compares with the int column s.a: carrying
+  // it would add a conjunct that errors on every tuple of s.
+  WsdDb db = TwoTableDb();
+  auto plan = Plan::Select(
+      Plan::Product(Plan::Scan("r"), Plan::Scan("s")),
+      Expr::And(Cmp(CompareOp::kEq, Col("a"), Col("s.a")),
+                Cmp(CompareOp::kEq, Col("a"),
+                    Expr::Const(Value::String("x")))));
+  EXPECT_EQ(OptimizedText(plan, db, Only(&OptimizerOptions::push_predicates)),
+            "Join (a = s.a)\n"
+            "  Select (a = 'x')\n"
+            "    Scan r\n"
+            "  Scan s");
+}
+
 TEST(OptimizerGolden, ProjectionPrune) {
   WsdDb db = TwoTableDb();
   auto plan = Plan::Project(

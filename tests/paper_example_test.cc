@@ -25,6 +25,10 @@
 namespace maybms {
 namespace {
 
+// Every lifted operator in this suite cross-checks its scoped
+// normalization against a full Normalize of a copy.
+const testing_util::ScopedNormalizeCrossCheck kNormalizeCrossCheck;
+
 using testing_util::CanonicalBag;
 using testing_util::MedicalExample;
 

@@ -540,6 +540,32 @@ TEST(SessionTest, DeleteOldestRetiresWindowPrefix) {
             StatusCode::kParseError);
 }
 
+TEST(SessionTest, OrderByKeyStoredAsOneAlternativeOrSet) {
+  // INSERT stores {1} and {2: 1.0} as one-row components; the key is
+  // certain in every world, so ORDER BY over the bare table sorts by it.
+  Session session;
+  MAYBMS_ASSERT_OK(
+      session.Execute("CREATE TABLE t (k INT, v STRING)").status());
+  MAYBMS_ASSERT_OK(session
+                       .Execute("INSERT INTO t VALUES ({2: 1.0}, 'y'), "
+                                "({1}, 'x'), (0, 'z')")
+                       .status());
+  for (const char* order : {"", " DESC"}) {
+    auto r = session.Execute(std::string("SELECT * FROM t ORDER BY k") +
+                             order);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->kind, StatementResult::Kind::kWorldSet);
+    const WsdRelation* rel = r->world_set.GetRelation("result").value();
+    ASSERT_EQ(rel->NumTuples(), 3u);
+    for (size_t i = 0; i < 3; ++i) {
+      ASSERT_TRUE(rel->tuple(i).cells[0].is_certain());
+      const size_t want = *order == '\0' ? i : 2 - i;
+      EXPECT_EQ(rel->tuple(i).cells[0].value(),
+                Value::Int(static_cast<int64_t>(want)));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sql
 }  // namespace maybms

@@ -13,6 +13,8 @@
 
 #include "common/rng.h"
 #include "core/builder.h"
+#include "core/lifted.h"
+#include "core/normalize.h"
 #include "core/wsd.h"
 #include "ra/executor.h"
 #include "worlds/enumerate.h"
@@ -173,6 +175,26 @@ inline void ExpectDbsExactlyEqual(const WsdDb& a, const WsdDb& b) {
     }
   }
 }
+
+/// The scoped-normalization cross-check: a full Normalize of a copy of
+/// `db` must leave it exactly as the scoped one did.
+inline void ExpectNormalizeChangesNothing(const WsdDb& db) {
+  WsdDb full = db;
+  auto stats = Normalize(&full);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ExpectDbsExactlyEqual(full, db);
+}
+
+/// While an instance lives, every lifted operator cross-checks its scoped
+/// normalization against a full one (SetScopedNormalizeCheckForTesting).
+/// Test files that want the check for every test define one at
+/// namespace scope.
+struct ScopedNormalizeCrossCheck {
+  ScopedNormalizeCrossCheck() {
+    SetScopedNormalizeCheckForTesting(&ExpectNormalizeChangesNothing);
+  }
+  ~ScopedNormalizeCrossCheck() { SetScopedNormalizeCheckForTesting(nullptr); }
+};
 
 /// Bool-returning variant of ExpectDbsExactlyEqual for callers that need
 /// to *test* equality (e.g. "is the recovered state one of the two
