@@ -9,6 +9,7 @@
 // of worlds (log2), the flat size of the original relation, the size of
 // the decomposition, and the overhead — plus, for contrast, the utterly
 // infeasible size a materialized world-set would need.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -19,6 +20,7 @@
 #include "bench/bench_util.h"
 #include "common/rng.h"
 #include "core/lifted_executor.h"
+#include "gen/census.h"
 #include "core/mapped_db.h"
 #include "core/serialize.h"
 #include "sql/session.h"
@@ -197,6 +199,19 @@ void SnapshotBench(BenchJson* json) {
 // snapshot size, so the configuration is genuinely out-of-core: the
 // whole file never fits the budget. Correctness is differential — the
 // scratch database must produce the same answer as the eager one.
+//
+// Two write entries time a durable MAPPED session (LOAD ... MAPPED of a
+// fresh copy, WAL on) that takes one INSERT of a census row, median of 7
+// fresh copies:
+//
+//   mapped_cold_insert        — the INSERT alone: a WAL append + fsync
+//                               and an apply to the write overlay. The
+//                               bench checks that it decodes no block and
+//                               leaves the session mapped.
+//   mapped_insert_then_query  — the INSERT plus the next selective SQL
+//                               query (the last shard, where the new row
+//                               lands), which merges the overlay in; its
+//                               answer must equal an eager session's.
 void OutOfCoreBench(BenchJson* json) {
   printf("E1c out-of-core: mapped snapshot vs eager load (census)\n");
   size_t records = Scaled(20000);
@@ -294,9 +309,66 @@ void OutOfCoreBench(BenchJson* json) {
          static_cast<double>(snap_bytes) /
              static_cast<double>(opts.max_resident_bytes));
 
+  // Writes: a durable MAPPED session per rep, on a fresh copy.
+  const Tuple row = GenerateCensus({1, 99}).row(0);
+  std::string insert = "INSERT INTO census VALUES (";
+  for (size_t c = 0; c < row.size(); ++c) {
+    if (c) insert += ", ";
+    insert += c == 0 ? std::to_string(records + 1) : row[c].ToString();
+  }
+  insert += ")";
+  const std::string query = StrFormat(
+      "SELECT PERNUM, AGE FROM census WHERE PERNUM >= %zu",
+      records - db.options().rows_per_shard);
+  std::string eager_write_answer;
+  {
+    sql::Session eager(std::move(db));
+    eager.mutable_options().durability.wal_enabled = false;
+    MAYBMS_CHECK(eager.Execute(insert).ok());
+    auto r = eager.Execute(query);
+    MAYBMS_CHECK(r.ok()) << r.status().ToString();
+    eager_write_answer = r->ToDisplayString(size_t{1} << 30);
+  }
+  const std::string copy = dir + "/census.copy.wsd";
+  std::vector<double> insert_s, insert_query_s;
+  for (int rep = 0; rep < 7; ++rep) {
+    std::filesystem::copy_file(
+        path, copy, std::filesystem::copy_options::overwrite_existing);
+    std::filesystem::remove(copy + ".wal");
+    sql::Session s;
+    MAYBMS_CHECK(s.Execute("LOAD DATABASE '" + copy + "' MAPPED").ok());
+    const size_t decoded_before = s.mapped_db()->last_stats().bytes_decoded;
+    t.Reset();
+    auto w = s.Execute(insert);
+    const double ins = t.Seconds();
+    MAYBMS_CHECK(w.ok()) << w.status().ToString();
+    MAYBMS_CHECK(s.is_mapped()) << "the INSERT made the session resident";
+    MAYBMS_CHECK(s.mapped_db()->last_stats().bytes_decoded == decoded_before)
+        << "the INSERT decoded snapshot blocks";
+    t.Reset();
+    auto r = s.Execute(query);
+    const double q = t.Seconds();
+    MAYBMS_CHECK(r.ok()) << r.status().ToString();
+    MAYBMS_CHECK(s.is_mapped());
+    MAYBMS_CHECK(r->ToDisplayString(size_t{1} << 30) == eager_write_answer)
+        << "mapped answer after the INSERT diverged from the eager answer";
+    insert_s.push_back(ins);
+    insert_query_s.push_back(ins + q);
+  }
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  printf("mapped writes: cold INSERT %.3f ms, INSERT + query %.3f ms "
+         "(median of %zu)\n\n",
+         median(insert_s) * 1e3, median(insert_query_s) * 1e3,
+         insert_s.size());
+
   json->Add("oocore_eager_cold_query", eager_s * 1e9, 1.0);
   json->Add("oocore_mapped_cold_query", cold_s * 1e9, eager_s / cold_s);
   json->Add("oocore_mapped_warm_query", warm_s * 1e9, eager_s / warm_s);
+  json->Add("oocore_mapped_cold_insert", median(insert_s) * 1e9);
+  json->Add("oocore_mapped_insert_then_query", median(insert_query_s) * 1e9);
   std::filesystem::remove_all(dir);
 }
 

@@ -104,7 +104,8 @@ Result<TupleHandle> InsertTuple(WsdDb* db, const std::string& relation,
       MAYBMS_RETURN_IF_ERROR(ValidateAlternatives(spec.alternatives()));
       Component comp;
       comp.AddSlot(
-          {owner, StrFormat("%s[%zu].%s", relation.c_str(), rel->NumTuples(),
+          {owner, StrFormat("%s[%zu].%s", relation.c_str(),
+                            rel->base_rows() + rel->NumTuples(),
                             rel->schema().attr(c).name.c_str())},
           Value::Null());
       for (const auto& alt : spec.alternatives()) {

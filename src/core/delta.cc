@@ -601,7 +601,11 @@ Status WsdDb::EvictOldest(const std::string& relation, size_t count,
   if (it == relations_.end()) {
     return Status::NotFound("relation not found: " + relation);
   }
-  const size_t n = std::min(count, it->second.NumTuples());
+  WsdRelation& rel = it->second;
+  const size_t from_base = std::min(count, rel.base_rows());
+  rel.set_base_rows(rel.base_rows() - from_base);
+  *evicted += from_base;
+  const size_t n = std::min(count - from_base, rel.NumTuples());
   if (n == 0) return Status::OK();
   RefIndex& index = MutableRefIndex();
   auto release = [](auto* counts, auto key) {
@@ -614,7 +618,6 @@ Status WsdDb::EvictOldest(const std::string& relation, size_t count,
   // cell, plus those with a slot owned by an evicted dep (pure existence
   // components have no cell references).
   std::vector<ComponentId> candidates;
-  WsdRelation& rel = it->second;
   for (size_t i = 0; i < n; ++i) {
     const WsdTuple& t = rel.tuple(i);
     for (const Cell& c : t.cells) {
@@ -724,8 +727,9 @@ Result<DeltaEffects> WsdDb::ApplyDelta(const DeltaBatch& batch) {
               return Status::NotFound("relation not found: " + o.relation);
             }
             size_t evicted = 0;
-            MAYBMS_RETURN_IF_ERROR(
-                EvictOldest(o.relation, it->second.NumTuples(), &evicted));
+            MAYBMS_RETURN_IF_ERROR(EvictOldest(
+                o.relation, it->second.base_rows() + it->second.NumTuples(),
+                &evicted));
             relations_.erase(it);
           }
           return Status::OK();

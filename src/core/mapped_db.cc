@@ -8,6 +8,7 @@
 #include "common/hash.h"
 #include "common/parallel.h"
 #include "common/string_util.h"
+#include "core/delta.h"
 #include "storage/value_pool.h"
 
 namespace maybms {
@@ -108,6 +109,28 @@ void CollectScans(const Plan& p, const WsdDb& skeleton,
     // Select over something else: analyze the subtree as usual.
   }
   for (const PlanPtr& c : p.children()) CollectScans(*c, skeleton, uses);
+}
+
+/// Appends the overlay's tuples (creating the relations made after the
+/// load) to `db`, a database decoded from the snapshot, and adopts the
+/// overlay's components and owner counter. Overlay tuples and components
+/// never reference stored ones (an insert only creates), and their ids
+/// lie above the snapshot's allocation point. Every overlay tuple joins,
+/// scanned or not: the lifted executor then drops what a plan does not
+/// read exactly as it does on the eager database.
+Status AppendOverlay(const WsdDb& overlay, WsdDb* db) {
+  for (const auto& [key, ov] : overlay.relations()) {
+    if (!db->HasRelation(key)) {
+      MAYBMS_RETURN_IF_ERROR(db->CreateRelation(ov.name(), ov.schema()));
+    }
+    if (ov.NumTuples() == 0) continue;
+    WsdRelation* rel = db->GetMutableRelation(key).value();
+    rel->Reserve(rel->NumTuples() + ov.NumTuples());
+    for (const WsdTuple& t : ov.tuples()) rel->Add(t);
+  }
+  db->AdoptComponents(overlay);
+  db->BumpOwner(overlay.owner_counter() - 1);
+  return Status::OK();
 }
 
 }  // namespace
@@ -240,12 +263,14 @@ Result<MappedWsdDb> MappedWsdDb::Open(std::unique_ptr<RandomAccessImage> image,
       static_cast<size_t>(m.meta_.rows_per_shard);
   for (const sv3::DirRelation& dr : m.dir_.relations) {
     MAYBMS_RETURN_IF_ERROR(m.skeleton_.CreateRelation(dr.name, dr.schema));
-    m.skeleton_.GetMutableRelation(dr.name).value()->set_display_name(
-        dr.display);
+    WsdRelation* rel = m.skeleton_.GetMutableRelation(dr.name).value();
+    rel->set_display_name(dr.display);
+    rel->set_base_rows(static_cast<size_t>(dr.n_tuples));
   }
   if (m.meta_.owner_counter > 0) {
     m.skeleton_.BumpOwner(static_cast<OwnerId>(m.meta_.owner_counter - 1));
   }
+  m.skeleton_.PadComponentSlots(static_cast<size_t>(m.meta_.component_counter));
   return m;
 }
 
@@ -389,14 +414,27 @@ Result<std::shared_ptr<const std::vector<WsdTuple>>> MappedWsdDb::LoadShard(
   return slot.tuples;
 }
 
-Result<WsdDb> MappedWsdDb::Materialize(
-    const std::vector<std::vector<char>>& keep, bool full) {
+Result<WsdDb> MappedWsdDb::Materialize(std::vector<std::vector<char>> keep,
+                                       bool full, const WsdDb& overlay) {
   if (full) {
     // Every block is read anyway, so the whole-section checksums are
     // verified too: they also cover the padding between blocks, which
     // no block checksum does.
     MAYBMS_RETURN_IF_ERROR(VerifySection(comp_));
     MAYBMS_RETURN_IF_ERROR(VerifySection(rels_));
+  }
+  // Per dir relation, the oldest rows the overlay has evicted. A read
+  // skips the shards they fill; the rest are decoded and evicted below.
+  std::vector<const WsdRelation*> written(dir_.relations.size());
+  std::vector<size_t> retired(dir_.relations.size());
+  for (size_t r = 0; r < dir_.relations.size(); ++r) {
+    const sv3::DirRelation& dr = dir_.relations[r];
+    MAYBMS_ASSIGN_OR_RETURN(written[r], overlay.GetRelation(dr.name));
+    const size_t n = static_cast<size_t>(dr.n_tuples);
+    retired[r] = n - std::min(written[r]->base_rows(), n);
+    for (size_t s = 0; s < dr.shards.size() && !full; ++s) {
+      if (dr.shards[s].row_end <= retired[r]) keep[r][s] = 0;
+    }
   }
   MaterializeStats stats;
   // A full materialization keeps every component, referenced or not, so
@@ -436,6 +474,7 @@ Result<WsdDb> MappedWsdDb::Materialize(
     MAYBMS_RETURN_IF_ERROR(
         sv3::PlaceComponentAt(&db, dir_.components[k].id, k, std::move(c)));
   }
+  DeltaBatch evict;
   for (size_t r = 0; r < dir_.relations.size(); ++r) {
     const sv3::DirRelation& dr = dir_.relations[r];
     MAYBMS_RETURN_IF_ERROR(db.CreateRelation(dr.name, dr.schema));
@@ -443,6 +482,14 @@ Result<WsdDb> MappedWsdDb::Materialize(
     rel->set_display_name(dr.display);
     std::vector<WsdTuple>& tuples = rel->mutable_tuples();
     const size_t n_shards = dr.shards.size();
+    size_t retired_kept = 0;  // retired rows among the decoded ones
+    for (size_t s = 0; s < n_shards; ++s) {
+      if (keep[r][s] && dr.shards[s].row_begin < retired[r]) {
+        retired_kept += std::min<size_t>(dr.shards[s].row_end, retired[r]) -
+                        static_cast<size_t>(dr.shards[s].row_begin);
+      }
+    }
+    if (retired_kept > 0) evict.EvictOldest(dr.name, retired_kept);
     if (full) {
       // Shards are random-access and self-contained: decode them over
       // the pool, each straight into its rows of the relation.
@@ -472,9 +519,10 @@ Result<WsdDb> MappedWsdDb::Materialize(
         tuples.insert(tuples.end(), sh->begin(), sh->end());
       }
     }
-    // A relation with every shard kept is the stored one, so the
-    // directory's partition is its shard partition.
-    if (std::all_of(keep[r].begin(), keep[r].end(),
+    // A relation with every shard kept and no write over it is the
+    // stored one, so the directory's partition is its shard partition.
+    if (retired[r] == 0 && written[r]->NumTuples() == 0 &&
+        std::all_of(keep[r].begin(), keep[r].end(),
                     [](char k) { return k != 0; })) {
       rel->set_cached_shards(partitions_[r]);
     }
@@ -486,6 +534,12 @@ Result<WsdDb> MappedWsdDb::Materialize(
   // full materialization allocates ids where the saved database did and
   // a replayed WAL reproduces them.
   db.PadComponentSlots(static_cast<size_t>(meta_.component_counter));
+  if (!evict.empty()) {
+    // The retired rows leave under the eviction rule, collecting the
+    // components only they used — what the eager database did.
+    MAYBMS_RETURN_IF_ERROR(db.ApplyDelta(evict).status());
+  }
+  MAYBMS_RETURN_IF_ERROR(AppendOverlay(overlay, &db));
   MAYBMS_RETURN_IF_ERROR(db.CheckInvariants());
   {
     std::lock_guard<std::mutex> lock(*mu_);
@@ -495,9 +549,10 @@ Result<WsdDb> MappedWsdDb::Materialize(
   return db;
 }
 
-Result<WsdDb> MappedWsdDb::MaterializeForPlan(const Plan& plan) {
+Result<WsdDb> MappedWsdDb::MaterializeForPlan(const Plan& plan,
+                                              const WsdDb& overlay) {
   std::map<std::string, ScanUse> uses;
-  CollectScans(plan, skeleton_, &uses);
+  CollectScans(plan, overlay, &uses);
   std::vector<std::vector<char>> keep(dir_.relations.size());
   for (size_t r = 0; r < dir_.relations.size(); ++r) {
     const size_t n_shards = dir_.relations[r].shards.size();
@@ -517,15 +572,15 @@ Result<WsdDb> MappedWsdDb::MaterializeForPlan(const Plan& plan) {
       for (size_t s = 0; s < n_shards; ++s) keep[r][s] |= mask[s];
     }
   }
-  return Materialize(keep, /*full=*/false);
+  return Materialize(std::move(keep), /*full=*/false, overlay);
 }
 
-Result<WsdDb> MappedWsdDb::MaterializeAll() {
+Result<WsdDb> MappedWsdDb::MaterializeAll(const WsdDb& overlay) {
   std::vector<std::vector<char>> keep(dir_.relations.size());
   for (size_t r = 0; r < dir_.relations.size(); ++r) {
     keep[r].assign(dir_.relations[r].shards.size(), 1);
   }
-  return Materialize(keep, /*full=*/true);
+  return Materialize(std::move(keep), /*full=*/true, overlay);
 }
 
 }  // namespace maybms

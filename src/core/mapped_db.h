@@ -13,6 +13,20 @@
 // checksum-verified on first touch. A selective query over a large
 // database reads a handful of pages instead of the whole file.
 //
+// Writes never touch the file. A MAPPED session (sql::Session) keeps a
+// write overlay: a copy of skeleton() — schemas, each relation's stored
+// row count as WsdRelation::base_rows, the owner counter and the
+// component-id allocation point — to which WsdDb::ApplyDelta applies
+// inserts, CREATE TABLE and evictions. The overlay holds the tuples and
+// components inserted since the load, with ids above every stored one,
+// and evictions retire stored rows (base_rows) before its own tuples.
+// MaterializeForPlan merges the overlay into each scratch database, and
+// MaterializeAll with an overlay is the fold: the whole snapshot with
+// the retired rows evicted under the eviction GC rule and the overlay
+// appended, exactly the database an eager session that ran the same
+// writes holds. Promotion to resident and CHECKPOINT (which then maps
+// the file it wrote, with an empty overlay) run the fold.
+//
 // Decoded blocks are cached under an LRU byte budget
 // (MappedDbOptions::max_resident_bytes, or the MAYBMS_MAX_RESIDENT_BYTES
 // environment variable), so repeated queries over a database much larger
@@ -86,8 +100,11 @@ class MappedWsdDb {
 
   const std::string& path() const { return file_->path(); }
 
-  /// Schemas, display names and options — no tuples, no components.
-  /// Enough for planning, binding and catalog statements.
+  /// The empty write overlay: schemas, display names and options, each
+  /// relation's stored row count as its base_rows, the owner counter and
+  /// the component-id allocation point — no tuples, no components.
+  /// Enough for planning, binding and catalog statements, and the
+  /// database a MAPPED session applies its inserts and evictions to.
   const WsdDb& skeleton() const { return skeleton_; }
 
   /// Materializes the subset of the database the plan can touch: for
@@ -97,7 +114,16 @@ class MappedWsdDb {
   /// owned scratch database that answers the plan exactly as the eagerly
   /// loaded database would (shard pruning only drops tuples that fail
   /// the predicate in every world).
-  Result<WsdDb> MaterializeForPlan(const Plan& plan);
+  ///
+  /// `overlay` (a copy of skeleton() that writes went to) is merged in:
+  /// shards wholly made of evicted base rows are skipped, the evicted
+  /// rows of a partly evicted shard leave under the eviction rule, and
+  /// every overlay tuple and component is appended. The result answers
+  /// the plan as the eager database that ran the same writes would.
+  Result<WsdDb> MaterializeForPlan(const Plan& plan) {
+    return MaterializeForPlan(plan, skeleton_);
+  }
+  Result<WsdDb> MaterializeForPlan(const Plan& plan, const WsdDb& overlay);
 
   /// Decodes everything, bypassing the residency cache: what every eager
   /// load runs, and the escape hatch for statements that need the whole
@@ -105,7 +131,13 @@ class MappedWsdDb {
   /// decodes shards in parallel straight into their relations, and
   /// installs each relation's directory partition as its cached shard
   /// partition.
-  Result<WsdDb> MaterializeAll();
+  ///
+  /// With an `overlay`, this is the fold: each relation's evicted base
+  /// rows then leave under the eviction GC rule and the overlay's tuples
+  /// and components are appended, which yields exactly the database of
+  /// an eager session that ran the overlay's writes.
+  Result<WsdDb> MaterializeAll() { return MaterializeAll(skeleton_); }
+  Result<WsdDb> MaterializeAll(const WsdDb& overlay);
 
   /// Per-relation shard partitions reconstructed from SDIR (ranges and
   /// referenced components per shard), in directory order. A relation
@@ -173,8 +205,10 @@ class MappedWsdDb {
   /// the shards with keep[r][s] != 0 plus every component they
   /// reference — through the cache, unless `full` (every shard kept):
   /// then it decodes every block directly and verifies the sections.
-  Result<WsdDb> Materialize(const std::vector<std::vector<char>>& keep,
-                            bool full);
+  /// The overlay's evictions and tuples are applied on top (see
+  /// MaterializeForPlan).
+  Result<WsdDb> Materialize(std::vector<std::vector<char>> keep, bool full,
+                            const WsdDb& overlay);
   void EvictToCap();
   void Account(size_t bytes);
 

@@ -95,6 +95,19 @@ void WsdDb::PadComponentSlots(size_t n) {
   }
 }
 
+void WsdDb::AdoptComponents(const WsdDb& other) {
+  DropRefIndexOutsideDelta();
+  for (size_t i = 0; i < other.components_.size(); ++i) {
+    if (other.components_[i] == nullptr) continue;
+    const size_t id = other.first_id_ + i;
+    MAYBMS_CHECK(id >= component_slot_count())
+        << "component " << id << " adopted below the allocation point";
+    PadComponentSlots(id);
+    components_.push_back(other.components_[i]);
+  }
+  PadComponentSlots(other.component_slot_count());
+}
+
 const Component& WsdDb::component(ComponentId id) const {
   MAYBMS_CHECK(IsLive(id)) << "dead component " << id;
   return *components_[id - first_id_];

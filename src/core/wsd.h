@@ -141,6 +141,7 @@ class WsdRelation {
         schema_(o.schema_),
         tuples_(o.tuples_),
         head_(o.head_),
+        base_rows_(o.base_rows_),
         shards_(std::atomic_load(&o.shards_)) {}
   WsdRelation& operator=(const WsdRelation& o) {
     if (this == &o) return *this;
@@ -149,6 +150,7 @@ class WsdRelation {
     schema_ = o.schema_;
     tuples_ = o.tuples_;
     head_ = o.head_;
+    base_rows_ = o.base_rows_;
     shards_ = std::atomic_load(&o.shards_);
     return *this;
   }
@@ -199,6 +201,15 @@ class WsdRelation {
     Detach();
     tuples_->reserve(head_ + n);
   }
+  /// Rows of a mapped snapshot's relation that logically precede this
+  /// relation's tuples (core/mapped_db.h): nonzero only in the write
+  /// overlay of a MAPPED session, whose relations hold just the tuples
+  /// inserted since the load. Evictions retire these rows first, and
+  /// inserts count them in their slot labels, so the overlay allocates
+  /// and labels exactly what the fully loaded relation would.
+  size_t base_rows() const { return base_rows_; }
+  void set_base_rows(size_t n) { base_rows_ = n; }
+
   /// Removes the oldest `n` tuples (n <= NumTuples()).
   void EraseOldest(size_t n) {
     Detach();
@@ -261,6 +272,7 @@ class WsdRelation {
   std::shared_ptr<std::vector<WsdTuple>> tuples_;
   /// (*tuples_)[0, head_) are retired tuples awaiting compaction.
   size_t head_ = 0;
+  size_t base_rows_ = 0;
   mutable std::shared_ptr<const ShardPartition> shards_;
 };
 
@@ -401,6 +413,12 @@ class WsdDb {
   /// Used by snapshot loading to restore the point recorded at save
   /// time; the ids skipped over are dead.
   void PadComponentSlots(size_t n);
+  /// Places every live component of `other` at its own id, shared
+  /// copy-on-write, and moves the allocation point up to other's. Every
+  /// live id of `other` must be >= component_slot_count(). A mapped
+  /// session merges its write overlay into a database decoded from the
+  /// snapshot this way.
+  void AdoptComponents(const WsdDb& other);
 
   /// Merges the given components (≥1) into a single product component.
   /// All template cells referencing the old components are remapped to the
@@ -545,7 +563,9 @@ class WsdDb {
   void IndexInsert(const std::string& relation, ComponentId first_new);
   /// Removes the oldest `count` tuples of `relation` and collects the
   /// components no surviving tuple references or is gated by, visiting
-  /// only the evicted tuples and their candidate components.
+  /// only the evicted tuples and their candidate components. The
+  /// relation's base rows (WsdRelation::base_rows) go first; they are not
+  /// stored here, so their components are collected where the base is.
   Status EvictOldest(const std::string& relation, size_t count,
                      size_t* evicted);
 

@@ -1,6 +1,7 @@
 #include "sql/session.h"
 
 #include <cmath>
+#include <variant>
 
 #include "chase/enforce.h"
 #include "common/hash.h"
@@ -133,6 +134,20 @@ const Knob* FindKnob(const std::string& name) {
   return nullptr;
 }
 
+/// True when a MAPPED session can hold every op of `batch` in its write
+/// overlay: inserts and CREATE TABLE only create, and evictions retire
+/// base rows by count. Any other op needs the whole database.
+bool OverlayHolds(const DeltaBatch& batch) {
+  for (const DeltaBatch::Op& op : batch.ops()) {
+    if (!std::holds_alternative<DeltaBatch::InsertOp>(op) &&
+        !std::holds_alternative<DeltaBatch::EvictOp>(op) &&
+        !std::holds_alternative<DeltaBatch::CreateOp>(op)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 Status Session::SetOption(const std::string& name, const Value& value) {
@@ -204,11 +219,13 @@ Result<std::vector<StatementResult>> Session::ExecuteScript(
   return out;
 }
 
-Status Session::EnsureResident() {
-  if (!mapped_) return Status::OK();
-  MAYBMS_ASSIGN_OR_RETURN(WsdDb full, mapped_->MaterializeAll());
-  db_ = std::move(full);
-  mapped_.reset();
+Status Session::EnsureResident() { return Promote(&mapped_, &db_); }
+
+Status Session::Promote(std::optional<MappedWsdDb>* mapped, WsdDb* db) {
+  if (!mapped->has_value()) return Status::OK();
+  MAYBMS_ASSIGN_OR_RETURN(WsdDb full, (*mapped)->MaterializeAll(*db));
+  *db = std::move(full);
+  mapped->reset();
   return Status::OK();
 }
 
@@ -228,13 +245,19 @@ Status Session::Checkpoint() {
         "CHECKPOINT requires a durable attachment (SAVE DATABASE or "
         "LOAD DATABASE first)");
   }
-  MAYBMS_RETURN_IF_ERROR(EnsureResident());
+  // A mapped session writes its folded overlay: the database an eager
+  // session that ran the same writes holds.
+  WsdDb folded;
+  if (mapped_) {
+    MAYBMS_ASSIGN_OR_RETURN(folded, mapped_->MaterializeAll(db_));
+  }
   // Snapshot first, log reset second. A crash between the two leaves the
   // new snapshot next to the old log; the fingerprint mismatch on the
   // next load discards that log instead of double-applying it.
   MAYBMS_ASSIGN_OR_RETURN(
       uint64_t fingerprint,
-      WriteSnapshot(db_, attach_->db_path, attach_->format, nullptr));
+      WriteSnapshot(mapped_ ? folded : db_, attach_->db_path, attach_->format,
+                    nullptr));
   attach_->writer.reset();
   MAYBMS_ASSIGN_OR_RETURN(
       wal::WalWriter writer,
@@ -242,6 +265,19 @@ Status Session::Checkpoint() {
                              /*base_lsn=*/1));
   attach_->writer.emplace(std::move(writer));
   attach_->next_auto_checkpoint = 0;
+  if (mapped_) {
+    // Map the file just written and start over from an empty overlay. A
+    // file that cannot be mapped leaves the folded database resident.
+    Result<MappedWsdDb> remapped =
+        MappedWsdDb::Open(attach_->db_path, {}, env());
+    if (remapped.ok()) {
+      db_ = remapped->skeleton();
+      mapped_.emplace(std::move(*remapped));
+    } else {
+      db_ = std::move(folded);
+      mapped_.reset();
+    }
+  }
   return Status::OK();
 }
 
@@ -250,10 +286,12 @@ void Session::CheckpointOrDetach() {
 }
 
 Status Session::ReplayWal(const std::vector<wal::WalRecord>& records,
-                          WsdDb* db, bool* fold_now) {
+                          std::optional<MappedWsdDb>* mapped, WsdDb* db,
+                          bool* fold_now) {
   *fold_now = false;
   for (const wal::WalRecord& rec : records) {
     if (rec.type == wal::RecordType::kStatement) {
+      MAYBMS_RETURN_IF_ERROR(Promote(mapped, db));
       ReplayLegacyWal(records, db);
       *fold_now = true;
       return Status::OK();
@@ -261,6 +299,10 @@ Status Session::ReplayWal(const std::vector<wal::WalRecord>& records,
   }
   for (size_t i = 0; i < records.size(); ++i) {
     Result<DeltaBatch> batch = DeltaBatch::Deserialize(records[i].payload);
+    // A record the overlay cannot hold promotes, as its live run did.
+    if (batch.ok() && !OverlayHolds(*batch)) {
+      MAYBMS_RETURN_IF_ERROR(Promote(mapped, db));
+    }
     const Status st =
         batch.ok() ? db->ApplyDelta(*batch).status() : batch.status();
     if (st.ok()) continue;
@@ -292,13 +334,19 @@ void Session::ReplayLegacyWal(const std::vector<wal::WalRecord>& records,
 
 Result<StatementResult> Session::ExecuteParsed(const Statement& stmt) {
   // SELECT and EXPLAIN run against the mapped snapshot directly (that is
-  // the point of MAPPED); everything else mutates or fully reads the
-  // catalog, so it first forces the snapshot resident.
+  // the point of MAPPED), INSERT, DELETE ... OLDEST and CREATE TABLE go to
+  // its write overlay, and CHECKPOINT folds that overlay into a new
+  // mapped file. Everything else mutates or fully reads the catalog, so
+  // it first forces the snapshot resident.
   switch (stmt.kind) {
     case Statement::Kind::kSelect:
     case Statement::Kind::kExplain:
     case Statement::Kind::kLoadDb:
     case Statement::Kind::kSet:  // settings never touch the catalog
+    case Statement::Kind::kInsert:
+    case Statement::Kind::kDelete:
+    case Statement::Kind::kCreateTable:
+    case Statement::Kind::kCheckpoint:
       break;
     case Statement::Kind::kShow:
       if (stmt.show->what == ShowStmt::What::kTables ||
@@ -431,9 +479,9 @@ Result<StatementResult> Session::RunLoadDb(const LoadDbStmt& stmt) {
   const std::string wal_path = wal::WalPathFor(stmt.path);
   const bool durable = options_.durability.wal_enabled;
   // The snapshot is mapped once: a durable load fingerprints that view
-  // to match the log against it, then the image is either kept (MAPPED)
-  // or materialized whole and released. All fallible work (decode, log
-  // scan and replay, snapshot rewrite, log reset) happens before the
+  // to match the log against it, then the image is either kept (MAPPED,
+  // with an empty write overlay) or materialized whole and released.
+  // All fallible work (decode, log scan and replay) happens before the
   // catalog swap, so a failed LOAD leaves the session untouched.
   MAYBMS_ASSIGN_OR_RETURN(std::unique_ptr<RandomAccessImage> image,
                           env()->MapFile(stmt.path));
@@ -445,6 +493,7 @@ Result<StatementResult> Session::RunLoadDb(const LoadDbStmt& stmt) {
   SnapshotFormat format = SnapshotFormat::kBinary;
   if (stmt.mapped) {
     MAYBMS_ASSIGN_OR_RETURN(mapped, MappedWsdDb::Open(std::move(image)));
+    loaded = mapped->skeleton();
   } else {
     MAYBMS_ASSIGN_OR_RETURN(loaded, ReadWsdDbImage(std::move(image), &format));
   }
@@ -454,61 +503,37 @@ Result<StatementResult> Session::RunLoadDb(const LoadDbStmt& stmt) {
   bool fold_now = false;
   if (durable) {
     contents = wal::ReadWal(env(), wal_path);
-    // A mapped open cannot apply a log lazily: pending records make it
-    // materialize everything, replay, and fold the log in below.
     if (contents.ok() && contents->usable &&
-        contents->snapshot_fingerprint == fingerprint &&
-        (!mapped || !contents->records.empty())) {
-      if (mapped) {
-        MAYBMS_ASSIGN_OR_RETURN(loaded, mapped->MaterializeAll());
-      }
-      MAYBMS_RETURN_IF_ERROR(ReplayWal(contents->records, &loaded, &fold_now));
+        contents->snapshot_fingerprint == fingerprint) {
+      MAYBMS_RETURN_IF_ERROR(
+          ReplayWal(contents->records, &mapped, &loaded, &fold_now));
       replayed = contents->records.size();
     }
   }
   attach_.reset();
-  if (mapped && replayed > 0) {
-    // Rewrite the snapshot and re-map the now-current file under a fresh
-    // log (a half-written snapshot's stale log is ignored by the
-    // fingerprint check next time).
-    MAYBMS_ASSIGN_OR_RETURN(
-        uint64_t fp,
-        WriteSnapshot(loaded, stmt.path, SnapshotFormat::kBinary, nullptr));
-    MAYBMS_ASSIGN_OR_RETURN(mapped, MappedWsdDb::Open(stmt.path, {}, env()));
-    MAYBMS_ASSIGN_OR_RETURN(
-        wal::WalWriter writer,
-        wal::WalWriter::Create(env(), wal_path, fp, /*base_lsn=*/1));
-    DurableAttachment a;
-    a.db_path = stmt.path;
-    a.wal_path = wal_path;
-    a.format = SnapshotFormat::kBinary;
-    a.writer.emplace(std::move(writer));
-    attach_.emplace(std::move(a));
-  } else if (durable) {
+  if (durable) {
     MAYBMS_RETURN_IF_ERROR(
         AttachForLoad(stmt.path, wal_path, fingerprint, format, contents));
   }
+  db_ = std::move(loaded);
+  mapped_ = std::move(mapped);
+  // A legacy log, or a failing last record, must not stay live: a new
+  // record appended behind it would turn it into a corrupt middle one.
+  if (fold_now) CheckpointOrDetach();
 
   StatementResult result;
-  if (mapped) {
+  if (mapped_) {
     size_t shards = 0;
-    for (const auto& part : mapped->partitions()) shards += part->shards.size();
-    // The resident catalog becomes the schema-only skeleton so that
-    // SHOW TABLES / planning keep working without touching data.
-    db_ = mapped->skeleton();
+    for (const auto& part : mapped_->partitions()) {
+      shards += part->shards.size();
+    }
     result.message = StrFormat(
         "mapped database from '%s': %zu relation(s), %zu shard(s), "
         "%zu component(s), %s on disk",
         stmt.path.c_str(), db_.relations().size(), shards,
-        mapped->num_components(),
-        FormatBytes(mapped->snapshot_bytes()).c_str());
-    mapped_.emplace(std::move(*mapped));
+        mapped_->num_components(),
+        FormatBytes(mapped_->snapshot_bytes()).c_str());
   } else {
-    db_ = std::move(loaded);
-    mapped_.reset();
-    // A legacy log, or a failing last record, must not stay live: a new
-    // record appended behind it would turn it into a corrupt middle one.
-    if (fold_now) CheckpointOrDetach();
     result.message = StrFormat(
         "loaded database from '%s': %zu relation(s), %zu component(s), "
         "2^%.4g choice combinations",
@@ -604,7 +629,8 @@ Result<StatementResult> Session::RunSelect(const SelectStmt& stmt) {
   if (mapped_) {
     // Materialize only the shards/components the optimized plan can
     // touch, then run the lifted pipeline over that scratch database.
-    MAYBMS_ASSIGN_OR_RETURN(WsdDb scratch, mapped_->MaterializeForPlan(*plan));
+    MAYBMS_ASSIGN_OR_RETURN(WsdDb scratch,
+                            mapped_->MaterializeForPlan(*plan, db_));
     MAYBMS_ASSIGN_OR_RETURN(answer,
                             ExecuteLifted(plan, scratch, lifted_opts));
   } else {
@@ -723,7 +749,9 @@ Result<StatementResult> Session::RunEnforce(const EnforceStmt& stmt) {
 }
 
 Result<DeltaEffects> Session::ApplyDelta(const DeltaBatch& batch) {
-  MAYBMS_RETURN_IF_ERROR(EnsureResident());
+  if (mapped_ && !OverlayHolds(batch)) {
+    MAYBMS_RETURN_IF_ERROR(EnsureResident());
+  }
   if (!attach_) return db_.ApplyDelta(batch);
   if (!attach_->writer) {
     return Status::Unavailable(
@@ -778,10 +806,13 @@ Result<StatementResult> Session::RunDelete(const DeleteStmt& stmt) {
   batch.EvictOldest(stmt.table, stmt.count);
   MAYBMS_ASSIGN_OR_RETURN(DeltaEffects effects, ApplyDelta(batch));
   StatementResult result;
+  // A mapped session collects the components of evicted stored rows only
+  // when it folds its overlay (CHECKPOINT or promotion).
   result.message = StrFormat(
-      "evicted %zu tuple(s) from %s (%zu component(s) collected)",
+      "evicted %zu tuple(s) from %s (%zu component(s) collected%s)",
       effects.tuples_evicted, stmt.table.c_str(),
-      effects.removed_components.size());
+      effects.removed_components.size(),
+      mapped_ ? "; stored ones at the next checkpoint" : "");
   return result;
 }
 
@@ -792,8 +823,10 @@ Result<StatementResult> Session::RunShow(const ShowStmt& stmt) {
       std::string out;
       for (const auto& name : db_.RelationNames()) {
         const WsdRelation* rel = db_.GetRelation(name).value();
+        // A mapped relation's unevicted snapshot rows count too.
         out += rel->name() + " " + rel->schema().ToString() +
-               StrFormat(" — %zu tuple template(s)\n", rel->NumTuples());
+               StrFormat(" — %zu tuple template(s)\n",
+                         rel->base_rows() + rel->NumTuples());
       }
       if (out.empty()) out = "(no tables)\n";
       result.message = std::move(out);

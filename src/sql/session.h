@@ -153,7 +153,9 @@ class Session {
 
   /// Rewrites the attached snapshot from current state and resets its
   /// log — the SQL CHECKPOINT statement's engine. Fails without an
-  /// attachment.
+  /// attachment. A MAPPED session writes its folded overlay (see
+  /// EnsureResident), then maps the new file with an empty overlay, so
+  /// checkpoints, automatic ones included, keep it mapped.
   Status Checkpoint();
 
   /// Automatic checkpoints that failed since the session started, and
@@ -167,7 +169,8 @@ class Session {
   /// (LOAD DATABASE ... MAPPED) instead of the resident database.
   bool is_mapped() const { return mapped_.has_value(); }
   /// The mapped snapshot, for resident-byte accounting and
-  /// materialization stats; nullptr when not mapped.
+  /// materialization stats; nullptr when not mapped. While mapped, db()
+  /// is the write overlay on top of it, not the whole database.
   const MappedWsdDb* mapped_db() const {
     return mapped_ ? &*mapped_ : nullptr;
   }
@@ -201,9 +204,21 @@ class Session {
   Result<StatementResult> RunShow(const ShowStmt& stmt);
   Result<StatementResult> RunSaveDb(const SaveDbStmt& stmt);
   Result<StatementResult> RunLoadDb(const LoadDbStmt& stmt);
-  /// Statements that mutate or read the whole catalog force the mapped
-  /// snapshot fully resident (into db_) and drop the mapping.
+  /// Promotes a MAPPED session to resident: the snapshot is decoded
+  /// whole and the write overlay folded into it (MappedWsdDb::
+  /// MaterializeAll with the overlay), into db_, and the mapping is
+  /// dropped. The folded database equals the one an eager session that
+  /// ran the same statements holds. Statements the overlay cannot hold
+  /// run this first: ENFORCE, REPAIR KEY, DROP TABLE, SAVE DATABASE,
+  /// SHOW of a relation or of the worlds, and delta batches with
+  /// reweight, set-cell, repair, enforce or drop ops. INSERT, DELETE ...
+  /// OLDEST, CREATE TABLE and CHECKPOINT keep the session mapped. A
+  /// non-durable mapped session has no checkpoint, so its overlay grows
+  /// until a statement promotes it.
   Status EnsureResident();
+  /// EnsureResident over explicit state (`*mapped`, and `*db` its
+  /// overlay), for log replay before the load installs them.
+  static Status Promote(std::optional<MappedWsdDb>* mapped, WsdDb* db);
   /// Serializes `db` to `path` atomically; returns the bytes'
   /// fingerprint.
   Result<uint64_t> WriteSnapshot(const WsdDb& db, const std::string& path,
@@ -219,14 +234,17 @@ class Session {
                        const Result<wal::WalContents>& contents);
   /// Decodes and applies a log's kDelta records to `db`, the freshly
   /// loaded snapshot (not yet the session's catalog, so nothing is
-  /// re-logged). A record that does not decode, or that fails to apply
+  /// re-logged). For a MAPPED load `db` is the empty overlay of
+  /// `*mapped`: records it can hold replay into it, and the first one it
+  /// cannot promotes (Promote), as the live statement did. A record that does not decode, or that fails to apply
   /// anywhere but last, is a corruption error naming its LSN. A failing
   /// last record is the one a crash caught before its checkpoint: its
   /// deterministic partial effect is kept and *fold_now is set, asking
   /// the caller to checkpoint at once. A log holding any legacy
   /// kStatement record goes through ReplayLegacyWal and sets *fold_now.
   static Status ReplayWal(const std::vector<wal::WalRecord>& records,
-                          WsdDb* db, bool* fold_now);
+                          std::optional<MappedWsdDb>* mapped, WsdDb* db,
+                          bool* fold_now);
   /// The one-time upgrade of a log written by older builds, which logged
   /// SQL statements as text: replays every record through a temporary
   /// non-durable session, dropping per-record errors as those builds
@@ -235,9 +253,12 @@ class Session {
                               WsdDb* db);
 
   WsdDb db_;
-  /// Engaged after LOAD DATABASE ... MAPPED; db_ then holds the
-  /// snapshot's schema-only skeleton for catalog statements while
-  /// SELECTs materialize per-query scratch databases from the map.
+  /// Engaged after LOAD DATABASE ... MAPPED. db_ is then the write
+  /// overlay: it starts as the snapshot's skeleton (schemas, unevicted
+  /// row counts as WsdRelation::base_rows, owner counter and component-id
+  /// allocation point) and WsdDb::ApplyDelta applies inserts, evictions
+  /// and creates to it. SELECTs materialize per-query scratch databases
+  /// from the map with the overlay merged in.
   std::optional<MappedWsdDb> mapped_;
   SessionOptions options_;
   /// Lazily created by conf_cache(); recreated when

@@ -111,7 +111,7 @@ TEST(DurabilityTest, EagerLoadReplaysPendingLog) {
   EXPECT_EQ(b.wal_record_count(), 5u);
 }
 
-TEST(DurabilityTest, MappedLoadRecoversThenRemapsClean) {
+TEST(DurabilityTest, MappedLoadReplaysLogIntoOverlayThenCheckpointsClean) {
   FaultInjectingEnv env;
   Session a;
   a.set_env(&env);
@@ -120,6 +120,8 @@ TEST(DurabilityTest, MappedLoadRecoversThenRemapsClean) {
   MAYBMS_ASSERT_OK(a.Execute("INSERT INTO t VALUES (8, 0.5)").status());
   const WsdDb expected = a.db();
 
+  // The pending insert replays into the mapped session's write overlay;
+  // the log continues as after an eager load.
   Session b;
   b.set_env(&env);
   auto loaded = b.Execute("LOAD DATABASE 'db' MAPPED");
@@ -127,12 +129,19 @@ TEST(DurabilityTest, MappedLoadRecoversThenRemapsClean) {
   EXPECT_NE(loaded->message.find("recovered 1 statement(s)"),
             std::string::npos);
   EXPECT_TRUE(b.is_mapped());
-  // Recovery folded the log into a fresh snapshot before remapping.
-  EXPECT_EQ(b.wal_record_count(), 0u);
+  EXPECT_EQ(b.wal_record_count(), 1u);
   auto prob_b = b.Execute("SELECT x, PROB() FROM t WHERE x = 1");
   MAYBMS_ASSERT_OK(prob_b.status());
   ASSERT_EQ(prob_b->table.NumRows(), 1u);
   EXPECT_NEAR(prob_b->table.row(0)[1].as_double(), 0.25, 1e-9);
+  auto count_b = b.Execute("SELECT ECOUNT() FROM t WHERE x = 8");
+  MAYBMS_ASSERT_OK(count_b.status());
+  EXPECT_NEAR(count_b->table.row(0)[0].as_double(), 1.0, 1e-9);
+
+  // CHECKPOINT folds the overlay into a new snapshot and maps that.
+  MAYBMS_ASSERT_OK(b.Execute("CHECKPOINT").status());
+  EXPECT_TRUE(b.is_mapped());
+  EXPECT_EQ(b.wal_record_count(), 0u);
 
   // An eager load of the rewritten snapshot sees the recovered state
   // directly, with nothing left to replay.
@@ -142,6 +151,31 @@ TEST(DurabilityTest, MappedLoadRecoversThenRemapsClean) {
   MAYBMS_ASSERT_OK(again.status());
   EXPECT_EQ(again->message.find("recovered"), std::string::npos);
   testing_util::ExpectDbsExactlyEqual(expected, c.db());
+}
+
+TEST(DurabilityTest, MappedLoadPromotesAtALogRecordTheOverlayCannotHold) {
+  FaultInjectingEnv env;
+  Session a;
+  a.set_env(&env);
+  Populate(&a);
+  MAYBMS_ASSERT_OK(a.Execute("SAVE DATABASE 'db'").status());
+  MAYBMS_ASSERT_OK(
+      a.ExecuteScript("INSERT INTO t VALUES (8, 0.5);"
+                      "ENFORCE CHECK (x >= 2) ON t;"
+                      "INSERT INTO t VALUES (9, 0.5);")
+          .status());
+
+  // The ENFORCE record promotes, as the live statement did; the log is
+  // continued, so the recovered session matches the live one.
+  Session b;
+  b.set_env(&env);
+  auto loaded = b.Execute("LOAD DATABASE 'db' MAPPED");
+  MAYBMS_ASSERT_OK(loaded.status());
+  EXPECT_NE(loaded->message.find("recovered 3 statement(s)"),
+            std::string::npos);
+  EXPECT_FALSE(b.is_mapped());
+  EXPECT_EQ(b.wal_record_count(), 3u);
+  testing_util::ExpectDbsExactlyEqual(a.db(), b.db());
 }
 
 TEST(DurabilityTest, CheckpointFoldsLogIntoSnapshot) {
@@ -214,12 +248,18 @@ TEST(DurabilityTest, StreamPastTheGapBudgetCheckpointsAndReloads) {
   testing_util::ExpectDbsExactlyEqual(s.db(), b.db());
   EXPECT_EQ(b.db().component_slot_count(), s.db().component_slot_count());
 
-  // The mapped load replays the log too; a write makes it resident.
+  // The mapped load replays the log into its overlay, and a write stays
+  // mapped; promoting folds both in and allocates where the eager
+  // session does.
   const std::string write = "INSERT INTO t VALUES ({7: 0.5, 8: 0.5}, 3.0)";
   Session m;
   m.set_env(&env);
   MAYBMS_ASSERT_OK(m.Execute("LOAD DATABASE 'db' MAPPED").status());
   MAYBMS_ASSERT_OK(m.Execute(write).status());
+  EXPECT_TRUE(m.is_mapped());
+  // SHOW RELATION promotes.
+  MAYBMS_ASSERT_OK(m.Execute("SHOW RELATION t").status());
+  ASSERT_FALSE(m.is_mapped());
   Session ref{WsdDb(s.db())};
   MAYBMS_ASSERT_OK(ref.Execute(write).status());
   testing_util::ExpectDbsExactlyEqual(ref.db(), m.db());
@@ -590,12 +630,16 @@ TEST(DurabilityTest, EnsureResidentSurfacesCorruptShardCleanly) {
   s.mutable_options().durability.wal_enabled = false;
   MAYBMS_ASSERT_OK(s.Execute("LOAD DATABASE 'db' MAPPED").status());
   ASSERT_TRUE(s.is_mapped());
-  // The INSERT forces residency; materialization hits the bad checksum.
-  auto r = s.Execute("INSERT INTO t VALUES (7, 1.0)");
+  // An INSERT goes to the write overlay and decodes nothing.
+  MAYBMS_ASSERT_OK(s.Execute("INSERT INTO t VALUES (7, 1.0)").status());
+  EXPECT_TRUE(s.is_mapped());
+  // ENFORCE forces residency; materialization hits the bad checksum.
+  auto r = s.Execute("ENFORCE CHECK (x >= 0) ON t");
   EXPECT_FALSE(r.ok());
-  // Clean failure: still mapped, catalog skeleton intact.
+  // Clean failure: still mapped, catalog and overlay intact.
   EXPECT_TRUE(s.is_mapped());
   EXPECT_TRUE(s.db().HasRelation("t"));
+  EXPECT_EQ(s.db().GetRelation("t").value()->NumTuples(), 1u);
 }
 
 }  // namespace

@@ -13,11 +13,13 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/string_util.h"
 #include "core/builder.h"
 #include "core/mapped_db.h"
 #include "core/lifted_executor.h"
 #include "core/serialize.h"
 #include "sql/session.h"
+#include "storage/io_env.h"
 #include "tests/test_util.h"
 #include "worlds/enumerate.h"
 
@@ -70,8 +72,21 @@ WsdDb BuildShardedDb() {
   return db;
 }
 
+// This process's own scratch directory: ctest runs this binary twice at
+// once (as mapped_db_test and mapped_small_ram), so fixed file names in a
+// shared directory would let the two runs overwrite each other's files.
+const std::string& TestDir() {
+  static const std::string dir = [] {
+    std::string d = ::testing::TempDir() + "/mapped_db_test_" +
+                    std::to_string(getpid());
+    std::filesystem::create_directories(d);
+    return d;
+  }();
+  return dir;
+}
+
 std::string SaveV3(const WsdDb& db, const std::string& name) {
-  std::string path = ::testing::TempDir() + "/" + name;
+  std::string path = TestDir() + "/" + name;
   Status st = SaveWsdDb(db, path, SnapshotFormat::kBinary);
   EXPECT_TRUE(st.ok()) << st.ToString();
   return path;
@@ -116,7 +131,7 @@ void ExpectSameAnswer(const StatementResult& eager,
 
 TEST(MappedDbTest, OpenRejectsOlderFormats) {
   WsdDb db = BuildShardedDb();
-  std::string v2 = ::testing::TempDir() + "/mapped_reject_v2.wsd";
+  std::string v2 = TestDir() + "/mapped_reject_v2.wsd";
   MAYBMS_ASSERT_OK(SaveWsdDb(db, v2, SnapshotFormat::kBinaryV2));
   auto r = MappedWsdDb::Open(v2);
   ASSERT_FALSE(r.ok());
@@ -302,23 +317,73 @@ TEST(MappedSqlTest, CatalogStatementsWorkWhileMapped) {
   EXPECT_TRUE(s.is_mapped()) << "EXPLAIN must not force residency";
 }
 
-TEST(MappedSqlTest, MutationForcesResidencyAndKeepsData) {
+double Ecount(Session* s, const std::string& where) {
+  auto r = s->Execute("SELECT ECOUNT() FROM people" + where);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (!r.ok() || r->table.rows().size() != 1) return -1;
+  return r->table.rows()[0][0].as_double();
+}
+
+TEST(MappedSqlTest, WritesStayMappedAndPromotionKeepsData) {
   WsdDb db = BuildShardedDb();
   std::string path = SaveV3(db, "mapped_mutate.wsd");
   Session s;
   ASSERT_TRUE(s.Execute("LOAD DATABASE '" + path + "' MAPPED").ok());
   ASSERT_TRUE(s.is_mapped());
 
+  // Writes go to the overlay and decode nothing.
   auto ins = s.Execute("INSERT INTO people VALUES (64, 'kyiv', 3)");
   ASSERT_TRUE(ins.ok()) << ins.status().ToString();
-  EXPECT_FALSE(s.is_mapped()) << "INSERT must fall back to resident";
+  EXPECT_TRUE(s.is_mapped()) << "INSERT must stay mapped";
+  MAYBMS_ASSERT_OK(s.Execute("DELETE FROM people OLDEST 10").status());
+  EXPECT_TRUE(s.is_mapped()) << "DELETE OLDEST must stay mapped";
+  EXPECT_NEAR(Ecount(&s, " WHERE id >= 0"), 55.0, 1e-9);
+  EXPECT_NEAR(Ecount(&s, " WHERE id < 10"), 0.0, 1e-9);
+  EXPECT_NEAR(Ecount(&s, " WHERE id = 64"), 1.0, 1e-9);
+  EXPECT_TRUE(s.is_mapped());
 
-  // All 64 original tuples survived the fallback, plus the new one.
-  auto count = s.Execute("SELECT ECOUNT() FROM people WHERE id >= 0");
-  ASSERT_TRUE(count.ok());
-  ASSERT_EQ(count->kind, StatementResult::Kind::kTable);
-  ASSERT_EQ(count->table.rows().size(), 1u);
-  EXPECT_NEAR(count->table.rows()[0][0].as_double(), 65.0, 1e-9);
+  // A statement the overlay cannot hold promotes: the 54 surviving
+  // stored tuples plus the inserted one.
+  MAYBMS_ASSERT_OK(s.Execute("ENFORCE CHECK (bonus >= 0) ON people").status());
+  EXPECT_FALSE(s.is_mapped()) << "ENFORCE must fall back to resident";
+  EXPECT_EQ(s.db().GetRelation("people").value()->NumTuples(), 55u);
+  EXPECT_NEAR(Ecount(&s, " WHERE id >= 0"), 55.0, 1e-9);
+}
+
+// Out-of-core under writes: a durable mapped session takes 1,000
+// INSERTs and an automatic checkpoint without decoding a block into the
+// cache, and stays mapped. Under mapped_small_ram the cap is 512 bytes.
+TEST(MappedSqlTest, ThousandInsertsAndAnAutoCheckpointStayUnderTheCap) {
+  FaultInjectingEnv env;
+  {
+    Session writer(BuildShardedDb());
+    writer.set_env(&env);
+    writer.mutable_options().durability.wal_enabled = false;
+    MAYBMS_ASSERT_OK(writer.Execute("SAVE DATABASE 'db'").status());
+  }
+  Session s;
+  s.set_env(&env);
+  s.mutable_options().durability.auto_checkpoint_records = 600;
+  MAYBMS_ASSERT_OK(s.Execute("LOAD DATABASE 'db' MAPPED").status());
+  const size_t cap = s.mapped_db()->max_resident_bytes();
+  size_t peak = 0;
+  for (int i = 0; i < 1000; ++i) {
+    MAYBMS_ASSERT_OK(
+        s.Execute(StrFormat("INSERT INTO people VALUES (%d, {'rome': 0.5, "
+                            "'oslo': 0.5}, %d)",
+                            100 + i, i % 10))
+            .status());
+    ASSERT_TRUE(s.is_mapped()) << "insert " << i;
+    peak = std::max(peak, s.mapped_db()->peak_resident_bytes());
+  }
+  EXPECT_LE(peak, cap);
+  EXPECT_EQ(peak, 0u) << "an INSERT decoded a block";
+  EXPECT_EQ(s.checkpoint_failures(), 0u);
+  EXPECT_EQ(s.wal_record_count(), 400u) << "one automatic checkpoint";
+  EXPECT_TRUE(s.is_mapped());
+  EXPECT_NEAR(Ecount(&s, " WHERE id >= 100"), 1000.0, 1e-9);
+  EXPECT_NEAR(Ecount(&s, ""), 1064.0, 1e-9);
+  EXPECT_TRUE(s.is_mapped());
 }
 
 TEST(MappedSqlTest, EagerLoadDropsMapping) {
@@ -391,11 +456,9 @@ TEST(MappedSqlTest, EveryLoadPathYieldsTheSameDatabase) {
   db.AddComponent(OneRowComponent(db.NextOwner()));
   db.RemoveComponent(db.AddComponent(OneRowComponent(db.NextOwner())));
   MAYBMS_ASSERT_OK(db.CheckInvariants());
-  // Per-process names: ctest runs this binary twice at once (as
-  // mapped_db_test and mapped_small_ram), and this test writes logs.
-  const std::string stem = "mapped_paths_" + std::to_string(getpid());
+  const std::string stem = "mapped_paths";
   const std::string path = SaveV3(db, stem + ".wsd");
-  const std::string copy = ::testing::TempDir() + "/" + stem + "_copy.wsd";
+  const std::string copy = TestDir() + "/" + stem + "_copy.wsd";
   auto dir = MappedWsdDb::Open(path);
   ASSERT_TRUE(dir.ok()) << dir.status().ToString();
 
@@ -419,26 +482,60 @@ TEST(MappedSqlTest, EveryLoadPathYieldsTheSameDatabase) {
     ExpectSameLoad(db, durable.db(), &*dir, "durable LOAD");
   }
 
-  // 4. LOAD ... MAPPED promoted by an INSERT, against an eager LOAD
-  // plus the same INSERT.
+  // 4. LOAD ... MAPPED plus writes, which stay in its overlay, against
+  // an eager LOAD plus the same writes: promoted, and after CHECKPOINT
+  // and a reload in both modes.
   const std::string insert =
       "INSERT INTO people VALUES (64, {'kyiv': 0.5, 'oslo': 0.5}, 3)";
+  const std::vector<std::string> writes = {
+      insert, "DELETE FROM people OLDEST 3", "CREATE TABLE notes (k INT)",
+      "INSERT INTO notes VALUES ({1: 0.5, 2: 0.5})"};
   Session eager;
   Session promoted;
   for (Session* s : {&eager, &promoted}) {
     s->mutable_options().durability.wal_enabled = false;
   }
   MAYBMS_ASSERT_OK(eager.Execute("LOAD DATABASE '" + path + "'").status());
-  MAYBMS_ASSERT_OK(eager.Execute(insert).status());
   MAYBMS_ASSERT_OK(
       promoted.Execute("LOAD DATABASE '" + path + "' MAPPED").status());
-  ASSERT_TRUE(promoted.is_mapped());
-  MAYBMS_ASSERT_OK(promoted.Execute(insert).status());
+  for (const std::string& w : writes) {
+    MAYBMS_ASSERT_OK(eager.Execute(w).status());
+    MAYBMS_ASSERT_OK(promoted.Execute(w).status());
+    ASSERT_TRUE(promoted.is_mapped()) << w;
+  }
+  // SHOW RELATION promotes.
+  MAYBMS_ASSERT_OK(promoted.Execute("SHOW RELATION people").status());
   ASSERT_FALSE(promoted.is_mapped());
-  ExpectSameLoad(eager.db(), promoted.db(), nullptr, "MAPPED + INSERT");
+  ExpectSameLoad(eager.db(), promoted.db(), nullptr, "MAPPED + writes");
 
-  // 5. LOAD ... MAPPED over a pending log, against an eager LOAD of a
-  // copy of the same snapshot and log.
+  const std::string ckpt = TestDir() + "/" + stem + "_ckpt.wsd";
+  std::filesystem::copy_file(
+      path, ckpt, std::filesystem::copy_options::overwrite_existing);
+  {
+    Session durable;
+    MAYBMS_ASSERT_OK(
+        durable.Execute("LOAD DATABASE '" + ckpt + "' MAPPED").status());
+    for (const std::string& w : writes) {
+      MAYBMS_ASSERT_OK(durable.Execute(w).status());
+    }
+    EXPECT_EQ(durable.wal_record_count(), writes.size());
+    MAYBMS_ASSERT_OK(durable.Execute("CHECKPOINT").status());
+    EXPECT_TRUE(durable.is_mapped());
+    EXPECT_EQ(durable.wal_record_count(), 0u);
+  }
+  Session reloaded;
+  MAYBMS_ASSERT_OK(reloaded.Execute("LOAD DATABASE '" + ckpt + "'").status());
+  ExpectSameLoad(eager.db(), reloaded.db(), nullptr, "CHECKPOINT + LOAD");
+  auto remapped = MappedWsdDb::Open(ckpt);
+  ASSERT_TRUE(remapped.ok()) << remapped.status().ToString();
+  auto remapped_all = remapped->MaterializeAll();
+  ASSERT_TRUE(remapped_all.ok()) << remapped_all.status().ToString();
+  ExpectSameLoad(eager.db(), *remapped_all, &*remapped,
+                 "CHECKPOINT + LOAD MAPPED");
+
+  // 5. LOAD ... MAPPED over a pending log replays it into the overlay and
+  // continues the log, against an eager LOAD of a copy of the same
+  // snapshot and log.
   {
     Session writer;
     MAYBMS_ASSERT_OK(writer.Execute("LOAD DATABASE '" + path + "'").status());
@@ -456,20 +553,21 @@ TEST(MappedSqlTest, EveryLoadPathYieldsTheSameDatabase) {
   auto le = recovered.Execute("LOAD DATABASE '" + copy + "'");
   MAYBMS_ASSERT_OK(le.status());
   EXPECT_NE(le->message.find("recovered 2 statement(s)"), std::string::npos);
-  Session folded;
-  auto lm = folded.Execute("LOAD DATABASE '" + path + "' MAPPED");
+  Session replayed;
+  auto lm = replayed.Execute("LOAD DATABASE '" + path + "' MAPPED");
   MAYBMS_ASSERT_OK(lm.status());
   EXPECT_NE(lm->message.find("recovered 2 statement(s)"), std::string::npos);
-  ASSERT_TRUE(folded.is_mapped());
-  EXPECT_EQ(folded.wal_record_count(), 0u);
-  // The session now maps the rewritten snapshot; decode that file whole.
-  auto rewritten = MappedWsdDb::Open(path);
-  ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
-  EXPECT_EQ(rewritten->snapshot_bytes(), folded.mapped_db()->snapshot_bytes());
-  auto all = rewritten->MaterializeAll();
-  ASSERT_TRUE(all.ok()) << all.status().ToString();
-  ExpectSameLoad(recovered.db(), *all, &*rewritten, "MAPPED + pending log");
-  for (const std::string& p : {path, path + ".wal", copy, copy + ".wal"}) {
+  ASSERT_TRUE(replayed.is_mapped());
+  EXPECT_EQ(replayed.wal_record_count(), 2u);
+  // The snapshot file is the one the log was written against.
+  EXPECT_EQ(replayed.mapped_db()->snapshot_bytes(), dir->snapshot_bytes());
+  // SHOW RELATION promotes.
+  MAYBMS_ASSERT_OK(replayed.Execute("SHOW RELATION people").status());
+  ASSERT_FALSE(replayed.is_mapped());
+  ExpectSameLoad(recovered.db(), replayed.db(), nullptr,
+                 "MAPPED + pending log");
+  for (const std::string& p : {path, path + ".wal", copy, copy + ".wal", ckpt,
+                               ckpt + ".wal"}) {
     std::filesystem::remove(p);
   }
 }

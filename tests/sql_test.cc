@@ -11,6 +11,7 @@
 #include "sql/planner.h"
 #include "sql/session.h"
 #include "sql/token.h"
+#include "storage/io_env.h"
 #include "tests/test_util.h"
 #include "worlds/enumerate.h"
 
@@ -538,6 +539,40 @@ TEST(SessionTest, DeleteOldestRetiresWindowPrefix) {
   EXPECT_FALSE(session.Execute("DELETE FROM nope OLDEST 1").ok());
   EXPECT_EQ(session.Execute("DELETE FROM w OLDEST -1").status().code(),
             StatusCode::kParseError);
+}
+
+// A MAPPED session's SHOW TABLES counts the snapshot's unevicted rows
+// plus the rows inserted since the load.
+TEST(SessionTest, ShowTablesCountsMappedRowsAcrossWrites) {
+  FaultInjectingEnv env;
+  {
+    Session writer;
+    writer.set_env(&env);
+    writer.mutable_options().durability.wal_enabled = false;
+    MAYBMS_ASSERT_OK(writer
+                         .ExecuteScript("CREATE TABLE t (k INT, v STRING);"
+                                        "INSERT INTO t VALUES (1, 'a');"
+                                        "INSERT INTO t VALUES (2, 'b');"
+                                        "SAVE DATABASE 'db';")
+                         .status());
+  }
+  Session s;
+  s.set_env(&env);
+  s.mutable_options().durability.wal_enabled = false;
+  MAYBMS_ASSERT_OK(s.Execute("LOAD DATABASE 'db' MAPPED").status());
+  auto count = [&] {
+    auto r = s.Execute("SHOW TABLES");
+    EXPECT_TRUE(r.ok());
+    return r.ok() ? r->message : std::string();
+  };
+  EXPECT_EQ(count(), "t (k INT, v STRING) — 2 tuple template(s)\n");
+  MAYBMS_ASSERT_OK(s.Execute("INSERT INTO t VALUES (3, 'c')").status());
+  EXPECT_EQ(count(), "t (k INT, v STRING) — 3 tuple template(s)\n");
+  MAYBMS_ASSERT_OK(s.Execute("DELETE FROM t OLDEST 1").status());
+  EXPECT_EQ(count(), "t (k INT, v STRING) — 2 tuple template(s)\n");
+  MAYBMS_ASSERT_OK(s.Execute("DELETE FROM t OLDEST 2").status());
+  EXPECT_EQ(count(), "t (k INT, v STRING) — 0 tuple template(s)\n");
+  EXPECT_TRUE(s.is_mapped());
 }
 
 TEST(SessionTest, OrderByKeyStoredAsOneAlternativeOrSet) {

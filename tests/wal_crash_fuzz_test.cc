@@ -12,6 +12,13 @@
 // the tear even though its ack never arrived). A missing snapshot is
 // admissible only when the initial SAVE itself never acknowledged.
 //
+// The mapped workload reloads its own snapshot with LOAD ... MAPPED and
+// keeps writing: its inserts, evictions and creates go to the session's
+// write overlay, and automatic checkpoints fold the overlay into a new
+// snapshot and re-map it. Its oracle is the same workload with an eager
+// LOAD, and every recovery is checked twice: through an eager reload and
+// through a MAPPED reload (promoted, then compared).
+//
 // Iteration count: MAYBMS_WAL_FUZZ_ITERS randomized workload rounds on
 // top of the deterministic base sweep (default 2; the "fuzz"-labelled
 // ctest entry raises it for the sanitizer matrix).
@@ -101,6 +108,28 @@ std::vector<std::string> RandomWorkload(Rng* rng) {
   return w;
 }
 
+// Populates and saves a table, reloads it MAPPED, then inserts and
+// evicts across the stored/inserted boundary and creates a table.
+std::vector<std::string> MappedWorkload() {
+  return {
+      "CREATE TABLE t (x INT, w DOUBLE)",
+      "INSERT INTO t VALUES (1, 1.5)",
+      "INSERT INTO t VALUES ({2: 0.5, 3: 0.5}, 2.0)",
+      "INSERT INTO t VALUES (4, 0.5)",
+      "SAVE DATABASE 'db'",
+      "LOAD DATABASE 'db' MAPPED",
+      "INSERT INTO t VALUES ({5: 0.25, 6: 0.75}, 1.0)",
+      "DELETE FROM t OLDEST 2",
+      "INSERT INTO t VALUES (7, 1.0)",
+      // One stored row left: this eviction crosses into the inserted ones.
+      "DELETE FROM t OLDEST 2",
+      "CREATE TABLE u (y INT)",
+      "INSERT INTO u VALUES ({1: 0.5, 2: 0.5})",
+      "INSERT INTO t VALUES ({8: 0.5, 9: 0.5}, 2.0)",
+      "DELETE FROM t OLDEST 1",
+  };
+}
+
 Session MakeSession(Env* env, size_t auto_checkpoint) {
   Session s;
   s.set_env(env);
@@ -131,11 +160,22 @@ Oracle RunOracle(const std::vector<std::string>& workload,
   return o;
 }
 
+// A workload with a MAPPED load names `eager_workload`, the same
+// statements with an eager LOAD: a mapped session's db() is only its
+// write overlay, so the oracle states come from that one.
 void SweepCrashPoints(const std::vector<std::string>& workload,
-                      size_t auto_checkpoint, uint64_t recover_salt) {
-  const Oracle oracle = RunOracle(workload, auto_checkpoint);
+                      size_t auto_checkpoint, uint64_t recover_salt,
+                      const std::vector<std::string>* eager_workload = nullptr) {
+  Oracle oracle = RunOracle(workload, auto_checkpoint);
+  if (eager_workload != nullptr) {
+    oracle.states = RunOracle(*eager_workload, auto_checkpoint).states;
+  }
   const size_t n = workload.size();
   ASSERT_GT(oracle.total_ops, 0u);
+  size_t save_index = 0;  // statements before the SAVE touch no file
+  while (save_index < n && !StartsWith(workload[save_index], "SAVE")) {
+    ++save_index;
+  }
 
   for (uint64_t crash_op = 0; crash_op < oracle.total_ops; ++crash_op) {
     FaultInjectingEnv env;
@@ -152,6 +192,25 @@ void SweepCrashPoints(const std::vector<std::string>& workload,
     Rng rng(recover_salt ^ (crash_op * 0x9e3779b97f4a7c15ull));
     env.Recover(&rng);
 
+    if (eager_workload != nullptr) {
+      // The MAPPED reload, promoted so that the whole database compares.
+      Session mapped = MakeSession(&env, auto_checkpoint);
+      if (mapped.Execute("LOAD DATABASE 'db' MAPPED").ok()) {
+        auto promoted = mapped.Execute("SHOW WORLDS");
+        ASSERT_TRUE(promoted.ok()) << "crash_op " << crash_op << ": "
+                                   << promoted.status().ToString();
+        ASSERT_FALSE(mapped.is_mapped());
+        EXPECT_TRUE(
+            testing_util::DbsExactlyEqual(mapped.db(),
+                                          oracle.states[first_fail]) ||
+            (first_fail < n &&
+             testing_util::DbsExactlyEqual(mapped.db(),
+                                           oracle.states[first_fail + 1])))
+            << "crash_op " << crash_op << ": MAPPED reload matches neither "
+            << first_fail << " nor " << (first_fail + 1)
+            << " acked statements (of " << n << ")";
+      }
+    }
     Session rec = MakeSession(&env, auto_checkpoint);
     auto loaded = rec.Execute("LOAD DATABASE 'db'");
     if (!loaded.ok()) {
@@ -159,7 +218,7 @@ void SweepCrashPoints(const std::vector<std::string>& workload,
       // snapshot was ever promised.
       EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound)
           << "crash_op " << crash_op << ": " << loaded.status().ToString();
-      EXPECT_EQ(first_fail, 0u)
+      EXPECT_LE(first_fail, save_index)
           << "crash_op " << crash_op
           << ": snapshot lost after SAVE acknowledged";
       continue;
@@ -206,6 +265,18 @@ TEST(WalCrashFuzz, RandomWorkloadsSurviveEveryCrashPoint) {
     const size_t auto_checkpoint = rng.NextBelow(2) ? 0 : 3;
     SweepCrashPoints(workload, auto_checkpoint,
                      /*recover_salt=*/rng.Next());
+  }
+}
+
+TEST(WalCrashFuzz, MappedWritesSurviveEveryCrashPoint) {
+  std::vector<std::string> eager = MappedWorkload();
+  for (std::string& stmt : eager) {
+    if (stmt == "LOAD DATABASE 'db' MAPPED") stmt = "LOAD DATABASE 'db'";
+  }
+  for (size_t auto_checkpoint : {size_t{0}, size_t{2}}) {
+    SCOPED_TRACE(StrFormat("auto_checkpoint %zu", auto_checkpoint));
+    SweepCrashPoints(MappedWorkload(), auto_checkpoint,
+                     /*recover_salt=*/0xFEED + auto_checkpoint, &eager);
   }
 }
 
